@@ -1,7 +1,7 @@
 package bench
 
 import repro.SparkSpec
-import repro.experiments.{AnnTableExperiment, Datasets}
+import repro.experiments.AnnTableExperiment
 
 /** Reproduces Tables 1–3 (SIFT1M stand-in): recall of HNSW vs RS/RH/APD at
   * (1,8)- and (2,4)-partitioning, plus build-time and query-time sweeps over
@@ -16,11 +16,8 @@ import repro.experiments.{AnnTableExperiment, Datasets}
   */
 class Table1to3SiftBench extends SparkSpec {
 
-  private lazy val outcome = AnnTableExperiment.run(spark,
-    AnnTableExperiment.Config(
-      dataset = Datasets.siftLite,
-      partitionings = Seq((1, 8), (2, 4)),
-      workDir = "target/bench-work/sift"))
+  private lazy val outcome =
+    AnnTableExperiment.run(spark, AnnTableExperiment.sift("target/bench-work/sift"))
 
   private def results = outcome._1
 

@@ -1,18 +1,15 @@
 package bench
 
 import repro.SparkSpec
-import repro.experiments.{AnnTableExperiment, Datasets}
+import repro.experiments.AnnTableExperiment
 
 /** Reproduces Tables 4–6 (GIST1M stand-in): recall, build times and query
   * times at (1,8)-partitioning in the higher-dimensional regime.
   */
 class Table4to6GistBench extends SparkSpec {
 
-  private lazy val outcome = AnnTableExperiment.run(spark,
-    AnnTableExperiment.Config(
-      dataset = Datasets.gistLite,
-      partitionings = Seq((1, 8)),
-      workDir = "target/bench-work/gist"))
+  private lazy val outcome =
+    AnnTableExperiment.run(spark, AnnTableExperiment.gist("target/bench-work/gist"))
 
   private def results = outcome._1
 

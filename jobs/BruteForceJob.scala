@@ -1,8 +1,8 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.VectorData
 import repro.core.Distance
+import repro.jobs.JobInputs.arg
 import repro.lanns.SparkBruteForce
 
 /** Spark brute-force search entrypoint (Figure 8) — exact ground truth for
@@ -15,17 +15,15 @@ object BruteForceJob {
   def main(args: Array[String]): Unit = {
     require(args.nonEmpty, "usage: BruteForceJob <outPath> [n] [dim] [nQueries] [k] [partitions]")
     val outPath = args(0)
-    def arg(i: Int, d: String) = if (args.length > i) args(i) else d
-    val n = arg(1, "40000").toLong
-    val dim = arg(2, "32").toInt
-    val nQueries = arg(3, "1000").toLong
-    val k = arg(4, "100").toInt
-    val partitions = arg(5, "16").toInt
+    val n = arg(args, 1, "40000").toLong
+    val dim = arg(args, 2, "32").toInt
+    val nQueries = arg(args, 3, "1000").toLong
+    val k = arg(args, 4, "100").toInt
+    val partitions = arg(args, 5, "16").toInt
 
-    val spark = SparkSession.builder.appName("lanns-brute-force").getOrCreate()
-    val clusters = math.max(8, (n / 400).toInt)
-    val data = VectorData.clustered(spark, n, dim, clusters, seed = 101L)
-    val queries = VectorData.clusteredQueries(spark, nQueries, dim, clusters, seed = 101L)
+    val spark = SparkSession.builder().appName("lanns-brute-force").getOrCreate()
+    val data = JobInputs.data(spark, n, dim)
+    val queries = JobInputs.queries(spark, n, dim, nQueries)
     val res = SparkBruteForce.search(data, queries, k, Distance.Euclidean, partitions,
       Some(s"$outPath-ckpt"))
     res.write.mode("overwrite").parquet(outPath)

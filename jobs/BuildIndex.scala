@@ -1,10 +1,10 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.VectorData
 import repro.core.{Distance, HnswParams}
+import repro.jobs.JobInputs.arg
 import repro.lanns.Indexer
-import repro.segment.{RandomSegmenter, SegmenterLearner}
+import repro.segment.SegmenterLearner
 
 /** Generic LANNS index build (Figure 6): generates a clustered dataset,
   * optionally pre-learns a segmenter, and builds the two-level partitioned
@@ -18,26 +18,18 @@ object BuildIndex {
   def main(args: Array[String]): Unit = {
     require(args.nonEmpty, "usage: BuildIndex <outDir> [n] [dim] [shards] [segments] [method] [alpha] [executors]")
     val outDir = args(0)
-    def arg(i: Int, d: String) = if (args.length > i) args(i) else d
-    val n = arg(1, "40000").toLong
-    val dim = arg(2, "32").toInt
-    val shards = arg(3, "2").toInt
-    val segments = arg(4, "4").toInt
-    val method = arg(5, "APD")
-    val alpha = arg(6, "0.15").toDouble
-    val executors = arg(7, "8").toInt
+    val n = arg(args, 1, "40000").toLong
+    val dim = arg(args, 2, "32").toInt
+    val shards = arg(args, 3, "2").toInt
+    val segments = arg(args, 4, "4").toInt
+    val method = arg(args, 5, "APD")
+    val alpha = arg(args, 6, "0.15").toDouble
+    val executors = arg(args, 7, "8").toInt
 
-    val spark = SparkSession.builder.appName("lanns-build-index").getOrCreate()
-    val data =
-      VectorData.clustered(spark, n, dim, nClusters = math.max(8, (n / 400).toInt), seed = 101L)
-    val segmenter = method match {
-      case "RS" => new RandomSegmenter(segments, 101L)
-      case m =>
-        val sample = SegmenterLearner.sample(data, 20000, 9L)
-        val depth = java.lang.Integer.numberOfTrailingZeros(segments)
-        if (m == "RH") SegmenterLearner.learnRH(sample, dim, depth, alpha)
-        else SegmenterLearner.learnAPD(sample, dim, depth, alpha)
-    }
+    val spark = SparkSession.builder().appName("lanns-build-index").getOrCreate()
+    val data = JobInputs.data(spark, n, dim)
+    val segmenter = SegmenterLearner.segmenter(method, segments, alpha, dim,
+      SegmenterLearner.sample(data, 20000, 9L), JobInputs.Seed)
     val meta = Indexer.build(data, dim, shards, segmenter, Distance.Euclidean,
       HnswParams(), outDir, executors)
     println(s"built ${meta.indexes.size} indices, ${meta.totalCount} vectors -> $outDir")

@@ -5,12 +5,11 @@ import repro.core.{QueryRow, VecRow}
 
 /** Synthetic dense-vector datasets — the LANNS paper's evaluation schema.
   *
-  * Extends the [[SynthData]] family with embedding generators: the paper
-  * evaluates on SIFT1M/GIST1M and four LinkedIn embedding datasets, none of
-  * which are available offline, so we generate Gaussian-mixture vectors
-  * (real embedding corpora are strongly clustered, which is what makes both
-  * HNSW and the data-dependent segmenters behave as published) plus a
-  * uniform generator for adversarial cases.
+  * The paper evaluates on SIFT1M/GIST1M and four LinkedIn embedding
+  * datasets, none of which are available offline, so we generate
+  * Gaussian-mixture vectors (real embedding corpora are strongly clustered,
+  * which is what makes both HNSW and the data-dependent segmenters behave
+  * as published) plus a uniform generator for adversarial cases.
   *
   * All generators are deterministic in (seed, id): each row derives its own
   * RNG from `mix(seed, id)`, so a dataset is reproducible across partitions,

@@ -14,15 +14,12 @@ final case class VecRow(id: Long, vec: Array[Float])
   */
 final case class QueryRow(qid: Long, vec: Array[Float])
 
-/** A data row tagged with its two-level partition: (shard, segment).
-  * Physical spill can emit the same `id` under several segments.
+/** A vector tagged with its two-level partition: (shard, segment). `key` is
+  * a document id on the build side, where physical spill can emit it under
+  * several segments, and a query id on the query side, where virtual spill
+  * emits it under several segments of every shard.
   */
-final case class TaggedRow(id: Long, vec: Array[Float], shard: Int, segment: Int)
-
-/** A query routed to one (shard, segment) pair; virtual spill emits the
-  * same `qid` under several segments of each shard.
-  */
-final case class RoutedQuery(qid: Long, vec: Array[Float], shard: Int, segment: Int)
+final case class TaggedRow(key: Long, vec: Array[Float], shard: Int, segment: Int)
 
 /** One partial search result produced inside an executor. */
 final case class Hit(qid: Long, shard: Int, segment: Int, id: Long, dist: Double)

@@ -1,9 +1,9 @@
 package repro.experiments
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{Distance, HnswParams}
+import org.apache.spark.sql.SparkSession
+import repro.core.HnswParams
 import repro.eval.Recall
-import repro.lanns.{Indexer, Querier, SparkBruteForce}
+import repro.lanns.LannsMeta
 import repro.segment.{RandomSegmenter, Segmenter, SegmenterLearner}
 
 /** The harness behind Tables 1–3 (SIFT1M) and Tables 4–6 (GIST1M): recall
@@ -44,67 +44,35 @@ object AnnTableExperiment {
 
   val Methods: Seq[String] = Seq("RS", "RH", "APD")
 
-  private def log2(m: Int): Int = {
-    require(m >= 2 && (m & (m - 1)) == 0, s"segments per shard must be a power of two >= 2, got $m")
-    java.lang.Integer.numberOfTrailingZeros(m)
-  }
+  /** Tables 1–3: siftLite at (1,8)- and (2,4)-partitioning. */
+  def sift(workDir: String): Config =
+    Config(Datasets.siftLite, partitionings = Seq((1, 8), (2, 4)), workDir = workDir)
 
-  /** Build the segmenter for `method` with `m` segments per shard, learning
-    * RH/APD on `sample` (shared across shards, §5.1). Returns the segmenter
-    * and the learning wall-time (0 for RS, which needs no pre-learning).
-    */
-  def mkSegmenter(method: String, m: Int, alpha: Double, dim: Int,
-                  sample: Array[Array[Float]], seed: Long): (Segmenter, Long) = method match {
-    case "RS" => (new RandomSegmenter(m, seed), 0L)
-    case "RH" =>
-      val (s, t) = Fmt.timed(SegmenterLearner.learnRH(sample, dim, log2(m), alpha, seed))
-      (s, t)
-    case "APD" =>
-      val (s, t) = Fmt.timed(SegmenterLearner.learnAPD(sample, dim, log2(m), alpha, seed))
-      (s, t)
-    case other => throw new IllegalArgumentException(s"unknown method $other")
-  }
+  /** Tables 4–6: gistLite at (1,8)-partitioning. */
+  def gist(workDir: String): Config =
+    Config(Datasets.gistLite, partitionings = Seq((1, 8)), workDir = workDir)
 
   /** Run the full experiment for one dataset. */
   def run(spark: SparkSession, cfg: Config): (Results, Seq[ExpTable]) = {
-    val ds = cfg.dataset
-    val data = ds.data(spark).cache()
-    data.count() // materialize (and warm up the session)
-    val queries = ds.queries(spark).cache()
-    val nQueries = queries.count()
-
-    val truth = SparkBruteForce
-      .search(data, queries, cfg.topK, Distance.Euclidean, numPartitions = 16)
-      .cache()
-    truth.count()
-
+    val h = new Harness(spark, cfg.dataset, cfg.topK)
+    val ds = h.ds
     val maxE = cfg.executorSweep.max
     val work = s"${cfg.workDir}/${ds.name}"
 
-    def buildAt(tag: String, shards: Int, seg: Segmenter, e: Int) = {
-      val dir = s"$work/$tag"
-      Fmt.timed(Indexer.build(data, ds.dim, shards, seg, Distance.Euclidean, cfg.hnsw, dir, e))
-    }
+    def buildAt(tag: String, shards: Int, seg: Segmenter, e: Int) =
+      h.build(shards, seg, cfg.hnsw, s"$work/$tag", e)
 
-    def queryAt(meta: repro.lanns.LannsMeta, e: Int,
-                checkpoint: Option[String] = None): (DataFrame, Long) = {
-      val (df, ms) = Fmt.timed {
-        val d = Querier.search(queries, meta, cfg.topK, cfg.efSearch,
-          Some(cfg.confidence), e, checkpoint).cache()
-        d.count()
-        d
-      }
-      (df, ms)
-    }
+    def queryAt(meta: LannsMeta, e: Int, checkpoint: Option[String] = None) =
+      h.query(meta, cfg.topK, cfg.efSearch, Some(cfg.confidence), e, checkpoint)
 
     // ---- HNSW baseline: one unpartitioned index, one slot ----------------
     val (hnswMeta, hnswBuildMs) = buildAt("hnsw", 1, new RandomSegmenter(1), 1)
     val (hnswRes, hnswQueryMs0) = queryAt(hnswMeta, 1)
-    val hnswRecall = Recall.atKs(hnswRes, truth, cfg.ks)
+    val hnswRecall = Recall.atKs(hnswRes, h.truth, cfg.ks)
     hnswRes.unpersist()
     val hnswQueryMs = math.min(hnswQueryMs0, { val (d, t) = queryAt(hnswMeta, 1); d.unpersist(); t })
 
-    val sample = SegmenterLearner.sample(data, cfg.sampleSize, ds.seed + 9)
+    val sample = SegmenterLearner.sample(h.data, cfg.sampleSize, ds.seed + 9)
 
     var recall = Map.empty[(String, (Int, Int)), Map[Int, Double]]
     var learn = Map.empty[String, Long]
@@ -112,14 +80,15 @@ object AnnTableExperiment {
     var queryMs = Map.empty[(String, (Int, Int), Int), Double]
 
     for (method <- Methods; (s, m) <- cfg.partitionings) {
-      val (seg, learnT) = mkSegmenter(method, m, cfg.alpha, ds.dim, sample, ds.seed + 17)
+      val (seg, learnT) = Fmt.timed(
+        SegmenterLearner.segmenter(method, m, cfg.alpha, ds.dim, sample, ds.seed + 17))
       learn += s"$method($s,$m)" -> learnT
 
       // Recall: build once at max executors, query at max executors,
       // exercising the checkpoint path of §5.3.1.
       val (meta, _) = buildAt(s"${method}_${s}x${m}_recall", s, seg, maxE)
       val (res, _) = queryAt(meta, maxE, Some(s"$work/ckpt_${method}_${s}x$m"))
-      recall += (method, (s, m)) -> Recall.atKs(res, truth, cfg.ks)
+      recall += (method, (s, m)) -> Recall.atKs(res, h.truth, cfg.ks)
       res.unpersist()
 
       // Query-time sweep (Tables 3/6) over emulated executor counts; each
@@ -130,7 +99,7 @@ object AnnTableExperiment {
           df.unpersist()
           t
         }.min
-        queryMs += (method, (s, m), e) -> ms.toDouble / nQueries
+        queryMs += (method, (s, m), e) -> ms.toDouble / h.nQueries
       }
 
       // Build-time sweep (Tables 2/5): the paper reports one build-time
@@ -145,7 +114,7 @@ object AnnTableExperiment {
     }
 
     val results = Results(hnswRecall, recall, hnswBuildMs, buildMs,
-      hnswQueryMs.toDouble / nQueries, queryMs, learn)
+      hnswQueryMs.toDouble / h.nQueries, queryMs, learn)
     (results, render(ds.name, cfg, results))
   }
 

@@ -18,7 +18,6 @@ final case class ExpTable(title: String, header: Seq[String], rows: Seq[Seq[Stri
 /** Formatting helpers shared by the experiment harnesses. */
 object Fmt {
   def f2(x: Double): String = f"$x%.2f"
-  def f3(x: Double): String = f"$x%.3f"
   def f4(x: Double): String = f"$x%.4f"
 
   /** Milliseconds → displayed minutes with 2 decimals (paper build times). */

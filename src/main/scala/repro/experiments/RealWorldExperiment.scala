@@ -3,8 +3,8 @@ package repro.experiments
 import org.apache.spark.sql.SparkSession
 import repro.core.{Distance, HnswParams}
 import repro.eval.Recall
-import repro.lanns.{Indexer, Querier, SparkBruteForce}
-import repro.segment.{RandomSegmenter, Segmenter, SegmenterLearner}
+import repro.lanns.{Indexer, Querier}
+import repro.segment.{RandomSegmenter, SegmenterLearner}
 
 /** Tables 8 & 9: end-to-end build time, query time, and recall on the four
   * real-world stand-ins (PYMK, People, NearDupe, Groups), each with its
@@ -20,7 +20,7 @@ object RealWorldExperiment {
   final case class UseCase(
       dataset: DatasetSpec,
       shards: Int,
-      segmenterKind: String, // "RS" | "APD" | "NONE"
+      segmenterKind: String, // "RS" | "RH" | "APD"
       segments: Int,
       k: Int,
       alpha: Double = 0.15,
@@ -30,7 +30,7 @@ object RealWorldExperiment {
       useCases: Seq[UseCase] = Seq(
         UseCase(Datasets.pymkLite, shards = 4, segmenterKind = "RS", segments = 2, k = 100),
         UseCase(Datasets.peopleLite, shards = 4, segmenterKind = "RS", segments = 2, k = 50),
-        UseCase(Datasets.nearDupeLite, shards = 1, segmenterKind = "NONE", segments = 1, k = 100),
+        UseCase(Datasets.nearDupeLite, shards = 1, segmenterKind = "RS", segments = 1, k = 100),
         UseCase(Datasets.groupsLite, shards = 1, segmenterKind = "APD", segments = 4, k = 100),
       ),
       hnsw: HnswParams = HnswParams(m = 16, efConstruction = 120, efSearch = 150),
@@ -46,16 +46,6 @@ object RealWorldExperiment {
                        buildMillis: Long, querySize: Long, queryMillis: Long,
                        k: Int, recallAtK: Double)
 
-  private def mkSegmenter(uc: UseCase, sample: Array[Array[Float]], dim: Int): Segmenter =
-    uc.segmenterKind match {
-      case "NONE" => new RandomSegmenter(1)
-      case "RS"   => new RandomSegmenter(uc.segments, uc.dataset.seed)
-      case "APD"  =>
-        val depth = java.lang.Integer.numberOfTrailingZeros(uc.segments)
-        SegmenterLearner.learnAPD(sample, dim, depth, uc.alpha, uc.dataset.seed + 17)
-      case other  => throw new IllegalArgumentException(s"unknown segmenter kind $other")
-    }
-
   def run(spark: SparkSession, cfg: Config): (Seq[Row], Seq[ExpTable]) = {
     // Warm up JIT/Spark before any timed pipeline, so the first use case
     // does not absorb the compilation cost the others skip.
@@ -67,31 +57,17 @@ object RealWorldExperiment {
         cfg.numExecutors).count()
     }
     val rows = cfg.useCases.map { uc =>
-      val ds = uc.dataset
-      val data = ds.data(spark).cache(); val n = data.count()
-      val queries = ds.queries(spark).cache(); val nq = queries.count()
-      val truth = SparkBruteForce
-        .search(data, queries, uc.k, Distance.Euclidean, numPartitions = 16)
-        .cache()
-      truth.count()
-
-      val sample =
-        if (uc.segmenterKind == "APD") SegmenterLearner.sample(data, cfg.sampleSize, ds.seed + 9)
-        else Array.empty[Array[Float]]
-      val seg = mkSegmenter(uc, sample, ds.dim)
-
-      val (meta, buildMs) = Fmt.timed(Indexer.build(data, ds.dim, uc.shards, seg,
-        Distance.Euclidean, cfg.hnsw, s"${cfg.workDir}/real/${ds.name}", cfg.numExecutors))
-      val (res, queryMs) = Fmt.timed {
-        val d = Querier.search(queries, meta, uc.k, cfg.efSearch,
-          Some(cfg.confidence), cfg.numExecutors,
-          Some(s"${cfg.workDir}/real/${ds.name}-ckpt")).cache()
-        d.count()
-        d
-      }
-      val rec = Recall.atK(res, truth, uc.k)
-      res.unpersist(); truth.unpersist(); data.unpersist(); queries.unpersist()
-      Row(ds.name, uc.shards, ds.dim, n, buildMs, nq, queryMs, uc.k, rec)
+      val h = new Harness(spark, uc.dataset, uc.k)
+      val ds = h.ds
+      val seg = SegmenterLearner.segmenter(uc.segmenterKind, uc.segments, uc.alpha, ds.dim,
+        SegmenterLearner.sample(h.data, cfg.sampleSize, ds.seed + 9), ds.seed + 17)
+      val (meta, buildMs) = h.build(uc.shards, seg, cfg.hnsw,
+        s"${cfg.workDir}/real/${ds.name}", cfg.numExecutors)
+      val (res, queryMs) = h.query(meta, uc.k, cfg.efSearch, Some(cfg.confidence),
+        cfg.numExecutors, Some(s"${cfg.workDir}/real/${ds.name}-ckpt"))
+      val rec = Recall.atK(res, h.truth, uc.k)
+      res.unpersist(); h.unpersist()
+      Row(ds.name, uc.shards, ds.dim, h.n, buildMs, h.nQueries, queryMs, uc.k, rec)
     }
 
     val timesT = ExpTable(

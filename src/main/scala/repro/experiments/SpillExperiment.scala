@@ -1,10 +1,9 @@
 package repro.experiments
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{Distance, HnswParams}
+import repro.core.HnswParams
 import repro.eval.Recall
-import repro.lanns.{Indexer, Querier, SparkBruteForce}
-import repro.segment.{RandomSegmenter, SegmenterLearner}
+import repro.segment.{RandomSegmenter, Segmenter, SegmenterLearner}
 
 /** Table 7: physical vs virtual spill on the Groups dataset — R@15 and QPS
   * for a multi-segmented APD index over segments ∈ {1, 4, 8, 16} and spill
@@ -34,36 +33,23 @@ object SpillExperiment {
                        virtRecall: Double, virtQps: Double)
 
   def run(spark: SparkSession, cfg: Config): (Seq[Row], ExpTable) = {
-    val ds = cfg.dataset
-    val data = ds.data(spark).cache(); data.count()
-    val queries = ds.queries(spark).cache()
-    val nQueries = queries.count()
-    val truth = SparkBruteForce
-      .search(data, queries, cfg.k, Distance.Euclidean, numPartitions = 16)
-      .cache()
-    truth.count()
-
-    val sample = SegmenterLearner.sample(data, cfg.sampleSize, ds.seed + 9)
+    val h = new Harness(spark, cfg.dataset, cfg.k)
+    val ds = h.ds
+    val sample = SegmenterLearner.sample(h.data, cfg.sampleSize, ds.seed + 9)
     val work = s"${cfg.workDir}/${ds.name}-spill"
 
-    def measure(tag: String, seg: repro.segment.Segmenter): (Double, Double) = {
-      val meta = Indexer.build(data, ds.dim, numShards = 1, seg, Distance.Euclidean,
-        cfg.hnsw, s"$work/$tag", cfg.numExecutors)
+    def measure(tag: String, seg: Segmenter): (Double, Double) = {
+      val (meta, _) = h.build(1, seg, cfg.hnsw, s"$work/$tag", cfg.numExecutors)
       def once(): (Double, Long) = {
-        val (res, ms) = Fmt.timed {
-          val d = Querier.search(queries, meta, cfg.k, cfg.efSearch,
-            confidence = None, numExecutors = cfg.numExecutors).cache()
-          d.count()
-          d
-        }
-        val rec = Recall.atK(res, truth, cfg.k)
+        val (res, ms) = h.query(meta, cfg.k, cfg.efSearch, None, cfg.numExecutors)
+        val rec = Recall.atK(res, h.truth, cfg.k)
         res.unpersist()
         (rec, ms)
       }
       // QPS is the max of two runs (min wall time) to damp JIT/GC noise.
       val (rec, ms1) = once()
       val (_, ms2) = once()
-      (rec, nQueries.toDouble / (math.min(ms1, ms2) / 1000.0))
+      (rec, h.nQueries.toDouble / (math.min(ms1, ms2) / 1000.0))
     }
 
     val rows = cfg.segmentCounts.flatMap {
@@ -73,10 +59,9 @@ object SpillExperiment {
         val (rec, qps) = measure("seg1", new RandomSegmenter(1))
         Seq(Row(1, 0, rec, qps, rec, qps))
       case m =>
-        val depth = java.lang.Integer.numberOfTrailingZeros(m)
         cfg.spillPercents.map { pct =>
           val alpha = pct / 200.0 // spill% = 2α·100
-          val virt = SegmenterLearner.learnAPD(sample, ds.dim, depth, alpha, ds.seed + 17)
+          val virt = SegmenterLearner.learn("APD", m, alpha, ds.dim, sample, ds.seed + 17)
           val phys = virt.withPhysicalSpill(true)
           val (pr, pq) = measure(s"seg${m}_s${pct}_phys", phys)
           val (vr, vq) = measure(s"seg${m}_s${pct}_virt", virt)

@@ -1,0 +1,68 @@
+package repro.lanns
+
+import java.io.File
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder}
+import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.functions.{col, expr, row_number}
+import repro.core.TaggedRow
+import scala.collection.mutable
+
+/** The steps the build (§5.2), query (§5.3) and brute-force (§5.4) jobs
+  * share: executor slotting, checkpointed merging, and the per-query top-K.
+  */
+private[lanns] object Dataflow {
+
+  /** Pack tagged rows into `numExecutors` *slots* — range partitions over
+    * `(shard·m + segment) mod E` — and run `perGroup` on each of a task's
+    * (shard, segment) groups in turn, with the group's (key, vector) rows in
+    * arrival order: exactly the schedule an E-executor cluster produces.
+    */
+  def bySlot[A: Encoder](rows: Dataset[TaggedRow], numSegments: Int, numExecutors: Int)(
+      perGroup: ((Int, Int), mutable.ArrayBuffer[(Long, Array[Float])]) => Iterator[A]): Dataset[A] =
+    rows
+      .repartitionByRange(numExecutors, expr(s"(shard * $numSegments + segment) % $numExecutors"))
+      .mapPartitions { it =>
+        val groups = mutable.LinkedHashMap.empty[(Int, Int), mutable.ArrayBuffer[(Long, Array[Float])]]
+        it.foreach { t =>
+          groups.getOrElseUpdate((t.shard, t.segment),
+            new mutable.ArrayBuffer[(Long, Array[Float])]) += ((t.key, t.vec))
+        }
+        groups.iterator.flatMap { case (group, rs) => perGroup(group, rs) }
+      }
+
+  /** `merge(hits)`, with the partial hits checkpointed when `checkpointDir`
+    * is set (§5.3.1): they are written to `<checkpointDir>/<name>` and read
+    * back, so completed tasks' results survive later executor loss. The
+    * merge is then materialized, because the temp files are deleted as soon
+    * as merging finishes. Only `<name>` is deleted; `checkpointDir` itself
+    * goes only if that leaves it empty, so a shared directory survives.
+    */
+  def checkpointed(hits: DataFrame, checkpointDir: Option[String], name: String)(
+      merge: DataFrame => DataFrame): DataFrame = checkpointDir match {
+    case None => merge(hits)
+    case Some(dir) =>
+      val path = s"$dir/$name"
+      hits.write.mode("overwrite").parquet(path)
+      val out = merge(hits.sparkSession.read.parquet(path)).cache()
+      out.count()
+      deleteTree(new File(path))
+      new File(dir).delete() // fails, leaving it, unless empty
+      out
+  }
+
+  private def deleteTree(f: File): Unit = {
+    if (f.isDirectory) f.listFiles().foreach(deleteTree)
+    f.delete(); ()
+  }
+
+  /** Rank each query's rows by (dist, id) and keep ranks 1..k.
+    *
+    * @param df DataFrame with columns (qid, id, dist)
+    * @return DataFrame (qid, id, dist, rank)
+    */
+  def topKPerQuery(df: DataFrame, k: Int): DataFrame =
+    df.withColumn("rank",
+        row_number().over(Window.partitionBy("qid").orderBy(col("dist"), col("id"))))
+      .filter(col("rank") <= k)
+      .select("qid", "id", "dist", "rank")
+}

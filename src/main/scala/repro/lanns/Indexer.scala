@@ -2,11 +2,9 @@ package repro.lanns
 
 import java.io.{BufferedOutputStream, DataOutputStream, FileOutputStream,
                 ObjectInputStream, ObjectOutputStream, FileInputStream, File}
-import org.apache.spark.sql.{Dataset, SparkSession}
-import org.apache.spark.sql.functions.expr
+import org.apache.spark.sql.Dataset
 import repro.core.{Distance, HnswIndex, HnswParams, IndexMeta, TaggedRow, VecRow}
 import repro.segment.Segmenter
-import scala.collection.mutable
 
 /** The persisted description of a LANNS index (§5.2): partitioning scheme,
   * distance, HNSW parameters, the shared segmenter, and one [[IndexMeta]]
@@ -93,28 +91,17 @@ object Indexer {
       segB.value.routeData(r.id, r.vec).map(seg => TaggedRow(r.id, r.vec, shard, seg))
     }
 
-    val slotted = tagged
-      .repartitionByRange(numExecutors, expr(s"(shard * $nSeg + segment) % $numExecutors"))
-
     val dist = distance
     val p = params
     val dir = outDir
-    val metas: Array[IndexMeta] = slotted
-      .mapPartitions { it =>
-        val groups = mutable.LinkedHashMap.empty[(Int, Int), mutable.ArrayBuffer[(Long, Array[Float])]]
-        it.foreach { t =>
-          groups.getOrElseUpdate((t.shard, t.segment),
-            new mutable.ArrayBuffer[(Long, Array[Float])]) += ((t.id, t.vec))
-        }
-        groups.iterator.map { case ((s, g), rows) =>
-          val t0 = System.nanoTime()
-          val idx = HnswIndex.build(dim, dist, p, rows.iterator)
-          val path = indexPath(dir, s, g)
-          writeIndexFile(idx, path)
-          IndexMeta(s, g, rows.length.toLong, path, (System.nanoTime() - t0) / 1000000L)
-        }
-      }
-      .collect()
+    val metas: Array[IndexMeta] = Dataflow.bySlot(tagged, nSeg, numExecutors) {
+      case ((s, g), rows) =>
+        val t0 = System.nanoTime()
+        val idx = HnswIndex.build(dim, dist, p, rows.iterator)
+        val path = indexPath(dir, s, g)
+        writeIndexFile(idx, path)
+        Iterator.single(IndexMeta(s, g, rows.length.toLong, path, (System.nanoTime() - t0) / 1000000L))
+    }.collect()
 
     segB.destroy()
     val meta = LannsMeta(dim, numShards, distance.name, params, segmenter,

@@ -3,8 +3,7 @@ package repro.lanns
 import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.core.{Hit, QueryRow, RoutedQuery}
-import scala.collection.mutable
+import repro.core.{Hit, QueryRow, TaggedRow}
 
 /** Distributed querying over a two-level partitioned index (§5.3, Figure 7).
   *
@@ -31,7 +30,8 @@ object Querier {
     *                    None disables it (each shard returns topK)
     * @param numExecutors parallelism slots emulating executor counts
     * @param checkpointDir when set, partial results are persisted to
-    *                    `<dir>/partial_hits` and reloaded before merging
+    *                    `<dir>/partial_hits` and reloaded before merging;
+    *                    only that subdirectory is deleted afterwards
     * @return DataFrame (qid, id, dist, rank) with rank in 1..topK
     */
   def search(
@@ -55,52 +55,26 @@ object Querier {
     val pathsB = spark.sparkContext.broadcast(paths)
 
     // Route: all shards × the segmenter's query segments (virtual spill).
-    val routed: Dataset[RoutedQuery] = queries.flatMap { q =>
+    val routed: Dataset[TaggedRow] = queries.flatMap { q =>
       val segs = segB.value.routeQuery(q.vec)
       for {
         s <- 0 until shards
         g <- segs
         if pathsB.value.contains((s, g)) // empty partitions have no index
-      } yield RoutedQuery(q.qid, q.vec, s, g)
+      } yield TaggedRow(q.qid, q.vec, s, g)
     }
 
-    val slotted = routed
-      .repartitionByRange(numExecutors, expr(s"(shard * $nSeg + segment) % $numExecutors"))
-
-    val dist = meta.distance
     val ef = math.max(efSearch, kShard)
     val kPartial = kShard
-    val rawHits: Dataset[Hit] = slotted.mapPartitions { it =>
-      val byGroup = mutable.LinkedHashMap.empty[(Int, Int), mutable.ArrayBuffer[(Long, Array[Float])]]
-      it.foreach { r =>
-        byGroup.getOrElseUpdate((r.shard, r.segment),
-          new mutable.ArrayBuffer[(Long, Array[Float])]) += ((r.qid, r.vec))
-      }
-      byGroup.iterator.flatMap { case ((s, g), qs) =>
+    val rawHits: Dataset[Hit] = Dataflow.bySlot(routed, nSeg, numExecutors) {
+      case ((s, g), qs) =>
         val idx = Indexer.readIndexFile(pathsB.value((s, g)))
         qs.iterator.flatMap { case (qid, vec) =>
           idx.search(vec, kPartial, ef).iterator.map(n => Hit(qid, s, g, n.id, n.dist))
         }
-      }
     }
 
-    val hits = checkpointDir match {
-      case Some(dir) => checkpoint(rawHits.toDF(), s"$dir/partial_hits")
-      case None      => rawHits.toDF()
-    }
-
-    val merged = mergeHits(hits, kShard, topK)
-    checkpointDir match {
-      case Some(dir) =>
-        // The temp dir is deleted "as soon as two-level merging finishes"
-        // (§5.3.1) — materialize the merge first so the plan no longer
-        // depends on the checkpointed files.
-        val out = merged.cache()
-        out.count()
-        cleanup(dir)
-        out
-      case None => merged
-    }
+    Dataflow.checkpointed(rawHits.toDF(), checkpointDir, "partial_hits")(mergeHits(_, kShard, topK))
   }
 
   /** Two-level merge (§5.3): segment hits → per-shard top `kShard`
@@ -121,28 +95,6 @@ object Querier {
       .filter(col("shard_rank") <= kShard)
 
     // Level 2: across shards — the broker-side merge.
-    shardLevel
-      .withColumn("rank",
-        row_number().over(Window.partitionBy("qid").orderBy(col("dist"), col("id"))))
-      .filter(col("rank") <= topK)
-      .select("qid", "id", "dist", "rank")
-  }
-
-  /** Persist a stage's output to the HDFS-substitute directory and reload
-    * it (§5.3.1): completed tasks' results survive later executor loss.
-    */
-  def checkpoint(df: DataFrame, path: String): DataFrame = {
-    df.write.mode("overwrite").parquet(path)
-    df.sparkSession.read.parquet(path)
-  }
-
-  /** Remove a temporary checkpoint directory once merging finished. */
-  def cleanup(dir: String): Unit = {
-    def rm(f: java.io.File): Unit = {
-      if (f.isDirectory) f.listFiles().foreach(rm)
-      f.delete(); ()
-    }
-    val f = new java.io.File(dir)
-    if (f.exists()) rm(f)
+    Dataflow.topKPerQuery(shardLevel, topK)
   }
 }

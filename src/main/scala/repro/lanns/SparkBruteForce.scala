@@ -1,8 +1,6 @@
 package repro.lanns
 
 import org.apache.spark.sql.{DataFrame, Dataset}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 import repro.core.{BruteForce, Distance, Hit, QueryRow, VecRow}
 
 /** Spark brute-force search (§5.4, Figure 8) — exact top-K at scale, used
@@ -49,21 +47,7 @@ object SparkBruteForce {
         }
       }
 
-    val hits = checkpointDir match {
-      case Some(dir) => Querier.checkpoint(partials.toDF(), s"$dir/bf_partials")
-      case None      => partials.toDF()
-    }
-
-    val merged = hits
-      .withColumn("rank",
-        row_number().over(Window.partitionBy("qid").orderBy(col("dist"), col("id"))))
-      .filter(col("rank") <= kk)
-      .select("qid", "id", "dist", "rank")
-
-    checkpointDir match {
-      case Some(dir) =>
-        val out = merged.cache(); out.count(); Querier.cleanup(dir); out
-      case None => merged
-    }
+    Dataflow.checkpointed(partials.toDF(), checkpointDir, "bf_partials")(
+      Dataflow.topKPerQuery(_, kk))
   }
 }

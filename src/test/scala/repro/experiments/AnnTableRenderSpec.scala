@@ -56,18 +56,4 @@ class AnnTableRenderSpec extends AnyFunSuite {
     assert(queryT.rows.head(1) === "1.50")
     assert(queryT.rows.head(2) === "0.70")
   }
-
-  test("mkSegmenter dispatches to every method and rejects unknowns") {
-    val sample = Array.fill(64)(Array.fill(4)(scala.util.Random.nextFloat()))
-    val (rs, rsT) = AnnTableExperiment.mkSegmenter("RS", 4, 0.1, 4, sample, 1L)
-    assert(rs.numSegments === 4 && rsT === 0L)
-    val (rh, _) = AnnTableExperiment.mkSegmenter("RH", 4, 0.1, 4, sample, 1L)
-    assert(rh.numSegments === 4)
-    val (apd, _) = AnnTableExperiment.mkSegmenter("APD", 2, 0.1, 4, sample, 1L)
-    assert(apd.numSegments === 2)
-    intercept[IllegalArgumentException](
-      AnnTableExperiment.mkSegmenter("XX", 2, 0.1, 4, sample, 1L))
-    intercept[IllegalArgumentException](
-      AnnTableExperiment.mkSegmenter("RH", 3, 0.1, 4, sample, 1L)) // not a power of two
-  }
 }

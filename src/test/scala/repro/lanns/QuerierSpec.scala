@@ -104,6 +104,28 @@ class QuerierSpec extends SparkSpec {
     assert(!new java.io.File(ckpt).exists(), "checkpoint dir not cleaned")
   }
 
+  test("checkpointing into a shared directory removes only what it wrote") {
+    val data = VectorData.clustered(spark, 1000, 8, 5, seed = 11L)
+    val queries = VectorData.clusteredQueries(spark, 10, 8, 5, seed = 11L)
+    // the index directory itself is the shared directory
+    val dir = tmpDir("q-ck-shared")
+    val meta = Indexer.build(data, 8, 1, new RandomSegmenter(2), Distance.Euclidean,
+      params, dir, 4)
+    val sentinel = new java.io.File(dir, "sentinel")
+    assert(sentinel.createNewFile())
+    def rows(df: org.apache.spark.sql.DataFrame) =
+      df.orderBy("qid", "rank").collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+    assert(rows(Querier.search(queries, meta, 5, 60, None, 4, Some(dir))) ===
+      rows(Querier.search(queries, meta, 5, 60, None, 4)))
+    assert(rows(SparkBruteForce.search(data, queries, 5, Distance.Euclidean, 4, Some(dir))) ===
+      rows(SparkBruteForce.search(data, queries, 5, Distance.Euclidean, 4)))
+    assert(sentinel.exists(), "sentinel removed")
+    assert(LannsMeta.read(dir).indexes === meta.indexes)
+    meta.indexes.foreach(m => assert(new java.io.File(m.path).exists(), s"${m.path} removed"))
+    assert(!new java.io.File(dir, "partial_hits").exists())
+    assert(!new java.io.File(dir, "bf_partials").exists())
+  }
+
   test("perShardTopK reduction still returns the full topK after the merge") {
     val data = VectorData.clustered(spark, 2000, 8, 6, seed = 7L)
     val queries = VectorData.clusteredQueries(spark, 10, 8, 6, seed = 7L)

@@ -138,6 +138,21 @@ class SegmenterLearnerSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](
       SegmenterLearner.learnRH(sample(10, 4, 13L), 4, depth = 1, alpha = 0.5))
   }
+
+  test("segmenter factory dispatches to every kind and rejects unknowns") {
+    val xs = sample(64, 4, 14L)
+    def make(kind: String, m: Int) = SegmenterLearner.segmenter(kind, m, 0.1, 4, xs, 1L)
+    // RS needs no learning: it never evaluates the sample
+    val rs = SegmenterLearner.segmenter("RS", 4, 0.1, 4, sys.error("sample evaluated"), 1L)
+    assert(rs.isInstanceOf[RandomSegmenter] && rs.numSegments === 4)
+    assert(make("RS", 3).numSegments === 3) // RS takes any segment count
+    val rh = make("RH", 4).asInstanceOf[HyperplaneSegmenter]
+    assert(rh.numSegments === 4 && rh.mode === "RH")
+    val apd = make("APD", 2).asInstanceOf[HyperplaneSegmenter]
+    assert(apd.numSegments === 2 && apd.mode === "APD")
+    intercept[IllegalArgumentException](make("XX", 2))
+    intercept[IllegalArgumentException](make("RH", 3)) // not a power of two
+  }
 }
 
 /** Subsampling uses Spark (§5.1: uniform subsample feeds the learner). */
