@@ -1,7 +1,7 @@
 package repro.core
 
 import java.io.{DataInputStream, DataOutputStream, ByteArrayInputStream, ByteArrayOutputStream}
-import scala.collection.mutable.ArrayBuffer
+import java.nio.ByteBuffer
 
 /** Tunable parameters of an HNSW index (Malkov & Yashunin 2016, §3 of the
   * LANNS paper).
@@ -32,20 +32,48 @@ final case class HnswParams(
   * than to every already-selected neighbor, which preserves graph
   * navigability in clustered data).
   *
-  * Not thread-safe for writes; the LANNS indexer builds each index inside a
-  * single Spark task. Searches after build are read-only and may be shared.
+  * Storage is flat: all vectors in one `Array[Float]` of n·dim, in the
+  * distance's prepared form (unit length for cosine, so a cosine distance is
+  * `1 − dot`); layer-0 adjacency in one array at a fixed stride of 2m+1 (the
+  * degree cap plus room for one back-link before re-pruning) with a count per
+  * node; the upper layers of each node in per-node arrays at stride m+1.
+  * Each neighbor's distance to the node is kept next to its id, so re-pruning
+  * an overfull list after a back-link scores only candidate pairs, never the
+  * list against its owner again.
+  *
+  * Thread safety: `add` needs a single owner, and no search may run while an
+  * `add` is in progress (the LANNS indexer builds each index inside a single
+  * Spark task). Once adds have stopped, any number of threads may search one
+  * index concurrently: each search uses its own thread's visited buffer and
+  * heaps, and reads the index without writing to it.
   */
 final class HnswIndex private (
     val dim: Int,
     val distance: Distance,
     val params: HnswParams,
 ) extends Serializable {
+  import HnswIndex.{Scratch, scratch}
 
-  private val ids    = new ArrayBuffer[Long]
-  private val vecs   = new ArrayBuffer[Array[Float]]
-  private val levels = new ArrayBuffer[Int]
-  // links(node)(layer) = internal ids of neighbors at that layer, 0..level(node)
-  private val links  = new ArrayBuffer[Array[ArrayBuffer[Int]]]
+  private val m0      = 2 * params.m
+  private val stride0 = m0 + 1
+  private val strideU = params.m + 1
+
+  private var n      = 0
+  private var ids    = new Array[Long](0)
+  private var levels = new Array[Int](0)
+  private var vecs   = new Array[Float](0)
+  // Layer 0: node i's neighbors at links0[i·stride0, i·stride0 + deg0(i)),
+  // their distances to i at the same offsets of dists0.
+  private var deg0   = new Array[Int](0)
+  private var links0 = new Array[Int](0)
+  private var dists0 = new Array[Double](0)
+  // Layers 1..level(i) of node i: layer l at offset (l−1)·strideU of
+  // linksU(i)/distsU(i), its count at degU(i)(l−1); null when level(i) = 0.
+  private var degU   = new Array[Array[Int]](0)
+  private var linksU = new Array[Array[Int]](0)
+  private var distsU = new Array[Array[Double]](0)
+  // A loaded index leaves the distances uncomputed until its first add.
+  private var distsCached = true
 
   private var entry: Int    = -1
   private var topLevel: Int = -1
@@ -53,184 +81,261 @@ final class HnswIndex private (
   private val rng = new java.util.Random(params.seed)
   private val mL  = 1.0 / math.log(math.max(2, params.m).toDouble)
 
-  // Visited marking by stamp — O(1) clear between beam searches.
-  private var visited      = new Array[Int](1024)
-  private var visitStamp   = 0
-
   /** Number of indexed vectors. */
-  def size: Int = ids.length
+  def size: Int = n
 
-  /** External id of internal node `i` (test/introspection hook). */
-  def idOf(i: Int): Long = ids(i)
-
-  /** Level of internal node `i` (test/introspection hook). */
-  def levelOf(i: Int): Int = levels(i)
+  /** External id of internal node `i` (introspection hook). */
+  def idOf(i: Int): Long = {
+    if (i < 0 || i >= n) throw new IndexOutOfBoundsException(s"node $i of $n")
+    ids(i)
+  }
 
   /** Current top layer of the hierarchy, −1 when empty. */
   def maxLevel: Int = topLevel
 
-  /** Largest adjacency-list length over all (node, layer) pairs — bounded
-    * by 2·m by construction (invariant-test hook).
+  /** Node count and largest adjacency-list length of every layer,
+    * 0..[[maxLevel]].
     */
-  def maxObservedDegree: Int = {
-    var mx = 0
+  def stats: HnswIndex.Stats = {
+    val nodes  = new Array[Int](topLevel + 1)
+    val maxDeg = new Array[Int](topLevel + 1)
     var i = 0
-    while (i < links.length) {
-      val ls = links(i)
+    while (i < n) {
       var l = 0
-      while (l < ls.length) { if (ls(l).length > mx) mx = ls(l).length; l += 1 }
+      while (l <= levels(i)) {
+        nodes(l) += 1
+        maxDeg(l) = math.max(maxDeg(l), degree(i, l))
+        l += 1
+      }
       i += 1
     }
-    mx
+    HnswIndex.Stats(nodes.toVector, maxDeg.toVector)
   }
 
-  /** Number of nodes whose assigned level is ≥ `l` (level-distribution
-    * test hook).
-    */
-  def countAtLevel(l: Int): Int = levels.count(_ >= l)
+  private def maxDegree(layer: Int): Int = if (layer == 0) m0 else params.m
 
-  private def dist(q: Array[Float], node: Int): Double = distance(q, vecs(node))
+  private def degree(node: Int, layer: Int): Int =
+    if (layer == 0) deg0(node) else degU(node)(layer - 1)
 
-  private def newStamp(): Unit = {
-    visitStamp += 1
-    if (visited.length < ids.length) {
-      val grown = new Array[Int](math.max(ids.length, visited.length * 2))
-      System.arraycopy(visited, 0, grown, 0, visited.length)
-      visited = grown
-    }
-  }
+  private def setDegree(node: Int, layer: Int, d: Int): Unit =
+    if (layer == 0) deg0(node) = d else degU(node)(layer - 1) = d
 
-  private def maxDegree(layer: Int): Int = if (layer == 0) 2 * params.m else params.m
+  private def linkArr(node: Int, layer: Int): Array[Int] =
+    if (layer == 0) links0 else linksU(node)
+
+  private def distArr(node: Int, layer: Int): Array[Double] =
+    if (layer == 0) dists0 else distsU(node)
+
+  private def linkOff(node: Int, layer: Int): Int =
+    if (layer == 0) node * stride0 else (layer - 1) * strideU
+
+  /** Distance of the prepared vector `q[qOff, qOff+dim)` to `node`. */
+  private def dist(q: Array[Float], qOff: Int, node: Int): Double =
+    distance.prepared(q, qOff, vecs, node * dim, dim)
 
   /** Greedy descent: closest node to `q` on `layer` starting from `ep`. */
-  private def greedyClosest(q: Array[Float], ep: Int, layer: Int): Int = {
+  private def greedyClosest(q: Array[Float], qOff: Int, ep: Int, layer: Int): Int = {
     var cur  = ep
-    var curD = dist(q, cur)
+    var curD = dist(q, qOff, cur)
     var improved = true
     while (improved) {
       improved = false
-      val nbrs = links(cur)(layer)
+      val arr = linkArr(cur, layer)
+      val off = linkOff(cur, layer)
+      val cnt = degree(cur, layer)
       var i = 0
-      while (i < nbrs.length) {
-        val n = nbrs(i)
-        val d = dist(q, n)
-        if (d < curD) { cur = n; curD = d; improved = true }
+      while (i < cnt) {
+        val nb = arr(off + i)
+        val d  = dist(q, qOff, nb)
+        if (d < curD) { cur = nb; curD = d; improved = true }
         i += 1
       }
     }
     cur
   }
 
-  /** Beam search of width `ef` on `layer`; returns candidates sorted by
-    * ascending distance (at most `ef`).
+  /** Beam search of width `ef` on `layer`. Leaves at most `ef` candidates in
+    * `s.outIds`/`s.outDists`, by ascending distance, and returns their count.
     */
-  private def searchLayer(q: Array[Float], ep: Int, ef: Int, layer: Int): ArrayBuffer[(Int, Double)] = {
-    newStamp()
-    // candidates: min-heap by distance; result: max-heap by distance
-    val cand = new java.util.PriorityQueue[(Int, Double)](
-      (a: (Int, Double), b: (Int, Double)) => java.lang.Double.compare(a._2, b._2))
-    val res = new java.util.PriorityQueue[(Int, Double)](
-      (a: (Int, Double), b: (Int, Double)) => java.lang.Double.compare(b._2, a._2))
+  private def searchLayer(q: Array[Float], qOff: Int, ep: Int, ef: Int, layer: Int, s: Scratch): Int = {
+    val stamp   = s.newStamp(n)
+    val visited = s.visited
+    val cand    = s.cand // min-heap on distance
+    val res     = s.res  // max-heap: keys are negated distances
+    cand.clear(); res.clear()
 
-    val d0 = dist(q, ep)
-    cand.add((ep, d0)); res.add((ep, d0)); visited(ep) = visitStamp
+    val d0 = dist(q, qOff, ep)
+    cand.push(ep, d0); res.push(ep, -d0); visited(ep) = stamp
 
-    while (!cand.isEmpty) {
-      val (c, cd) = cand.poll()
-      if (cd > res.peek()._2 && res.size >= ef) {
-        cand.clear() // no candidate can improve the result set
-      } else {
-        val nbrs = links(c)(layer)
+    var done = false
+    while (!done && cand.size > 0) {
+      val c = cand.topNode; val cd = cand.topKey
+      cand.pop()
+      if (cd > -res.topKey && res.size >= ef) done = true // no candidate can improve the result set
+      else {
+        val arr = linkArr(c, layer)
+        val off = linkOff(c, layer)
+        val cnt = degree(c, layer)
         var i = 0
-        while (i < nbrs.length) {
-          val n = nbrs(i)
-          if (visited(n) != visitStamp) {
-            visited(n) = visitStamp
-            val d = dist(q, n)
-            if (res.size < ef || d < res.peek()._2) {
-              cand.add((n, d))
-              res.add((n, d))
-              if (res.size > ef) res.poll()
+        while (i < cnt) {
+          val nb = arr(off + i)
+          if (visited(nb) != stamp) {
+            visited(nb) = stamp
+            val d = dist(q, qOff, nb)
+            if (res.size < ef || d < -res.topKey) {
+              cand.push(nb, d)
+              res.push(nb, -d)
+              if (res.size > ef) res.pop()
             }
           }
           i += 1
         }
       }
     }
-    val out = new ArrayBuffer[(Int, Double)](res.size)
-    while (!res.isEmpty) out += res.poll()
-    // res drains largest-first; reverse to ascending
-    var lo = 0; var hi = out.length - 1
-    while (lo < hi) { val t = out(lo); out(lo) = out(hi); out(hi) = t; lo += 1; hi -= 1 }
-    out
+    val found = res.size
+    s.ensureOut(found)
+    var i = found - 1 // res drains farthest-first
+    while (i >= 0) { s.outIds(i) = res.topNode; s.outDists(i) = -res.topKey; res.pop(); i -= 1 }
+    found
   }
 
-  /** Select-neighbors heuristic (HNSW Algorithm 4) over `cands` sorted by
-    * ascending distance to the base point: keep a candidate only if it is
-    * closer to the base than to any already-kept neighbor; backfill with the
-    * nearest pruned candidates if fewer than `m` survive.
+  /** Select-neighbors heuristic (HNSW Algorithm 4) over the `count`
+    * candidates `cIds`/`cDists`, sorted by ascending distance to the base
+    * point: keep a candidate only if it is closer to the base than to any
+    * already-kept neighbor; backfill with the nearest pruned candidates if
+    * fewer than `cap` survive. Writes the selection at `outOff` of
+    * `outIds`/`outDists` (which must not alias the candidates) and returns its
+    * size.
     */
-  private def selectHeuristic(cands: ArrayBuffer[(Int, Double)], m: Int): ArrayBuffer[Int] = {
-    val kept   = new ArrayBuffer[Int]
-    val pruned = new ArrayBuffer[Int]
+  private def selectHeuristic(cIds: Array[Int], cDists: Array[Double], count: Int, cap: Int,
+                              outIds: Array[Int], outDists: Array[Double], outOff: Int,
+                              s: Scratch): Int = {
+    s.ensurePruned(count)
+    var kept = 0
+    var pruned = 0
     var i = 0
-    while (i < cands.length && kept.length < m) {
-      val (c, dc) = cands(i)
+    while (i < count && kept < cap) {
+      val c = cIds(i); val dc = cDists(i)
       var good = true
       var j = 0
-      while (good && j < kept.length) {
-        if (distance(vecs(c), vecs(kept(j))) < dc) good = false
+      while (good && j < kept) {
+        if (distance.prepared(vecs, c * dim, vecs, outIds(outOff + j) * dim, dim) < dc) good = false
         j += 1
       }
-      if (good) kept += c else pruned += c
+      if (good) { outIds(outOff + kept) = c; outDists(outOff + kept) = dc; kept += 1 }
+      else { s.prunedIds(pruned) = c; s.prunedDists(pruned) = dc; pruned += 1 }
       i += 1
     }
     var p = 0
-    while (kept.length < m && p < pruned.length) { kept += pruned(p); p += 1 }
+    while (kept < cap && p < pruned) {
+      outIds(outOff + kept) = s.prunedIds(p); outDists(outOff + kept) = s.prunedDists(p)
+      kept += 1; p += 1
+    }
     kept
   }
 
-  /** Re-prune an overfull adjacency list back to the layer's degree cap. */
-  private def shrink(node: Int, layer: Int): Unit = {
-    val cap  = maxDegree(layer)
-    val nbrs = links(node)(layer)
-    if (nbrs.length > cap) {
-      val scored = nbrs.map(n => (n, distance(vecs(node), vecs(n)))).sortBy(_._2)
-      val kept   = selectHeuristic(scored, cap)
-      nbrs.clear()
-      nbrs ++= kept
+  /** Append `nb` at distance `d` to `node`'s list on `layer`; re-prune the
+    * list with the heuristic, from the cached distances, if it overflows.
+    */
+  private def link(node: Int, layer: Int, nb: Int, d: Double, s: Scratch): Unit = {
+    val arr = linkArr(node, layer)
+    val dArr = distArr(node, layer)
+    val off = linkOff(node, layer)
+    val cnt = degree(node, layer)
+    arr(off + cnt) = nb; dArr(off + cnt) = d
+    val cap = maxDegree(layer)
+    if (cnt + 1 <= cap) setDegree(node, layer, cnt + 1)
+    else {
+      // stable insertion sort of the list by distance into scratch
+      s.ensureTmp(cnt + 1)
+      val tIds = s.tmpIds; val tDists = s.tmpDists
+      var i = 0
+      while (i <= cnt) {
+        val id = arr(off + i); val di = dArr(off + i)
+        var j = i - 1
+        while (j >= 0 && tDists(j) > di) { tIds(j + 1) = tIds(j); tDists(j + 1) = tDists(j); j -= 1 }
+        tIds(j + 1) = id; tDists(j + 1) = di
+        i += 1
+      }
+      setDegree(node, layer, selectHeuristic(tIds, tDists, cnt + 1, cap, arr, dArr, off, s))
     }
   }
 
-  /** Insert one vector. Duplicate external ids are allowed (last wins at
-    * merge time via distance ordering).
+  /** Grow every per-node array to hold `cap` nodes. */
+  private def reserve(cap: Int): Unit = {
+    ids    = java.util.Arrays.copyOf(ids, cap)
+    levels = java.util.Arrays.copyOf(levels, cap)
+    vecs   = java.util.Arrays.copyOf(vecs, cap * dim)
+    deg0   = java.util.Arrays.copyOf(deg0, cap)
+    links0 = java.util.Arrays.copyOf(links0, cap * stride0)
+    if (distsCached) dists0 = java.util.Arrays.copyOf(dists0, cap * stride0)
+    degU   = java.util.Arrays.copyOf(degU, cap)
+    linksU = java.util.Arrays.copyOf(linksU, cap)
+    distsU = java.util.Arrays.copyOf(distsU, cap)
+  }
+
+  /** Score every stored link once, for an index loaded without distances. */
+  private def cacheDistances(): Unit = {
+    dists0 = new Array[Double](links0.length)
+    var i = 0
+    while (i < n) {
+      if (levels(i) > 0) distsU(i) = new Array[Double](levels(i) * strideU)
+      var l = 0
+      while (l <= levels(i)) {
+        val arr = linkArr(i, l); val dArr = distArr(i, l); val off = linkOff(i, l)
+        var t = 0
+        while (t < degree(i, l)) {
+          dArr(off + t) = distance.prepared(vecs, i * dim, vecs, arr(off + t) * dim, dim)
+          t += 1
+        }
+        l += 1
+      }
+      i += 1
+    }
+    distsCached = true
+  }
+
+  /** Allocate node `n` with the given id and level; the caller fills its vector. */
+  private def appendNode(id: Long, level: Int): Int = {
+    if (n == ids.length) reserve(math.max(16, 2 * n))
+    val node = n
+    ids(node) = id; levels(node) = level; deg0(node) = 0
+    if (level > 0) {
+      degU(node) = new Array[Int](level)
+      linksU(node) = new Array[Int](level * strideU)
+      if (distsCached) distsU(node) = new Array[Double](level * strideU)
+    }
+    n += 1
+    node
+  }
+
+  /** Insert one vector. Duplicate external ids are allowed: each copy is
+    * indexed as its own node, and a search can return both.
     */
   def add(id: Long, v: Array[Float]): Unit = {
     require(v.length == dim, s"vector dim ${v.length} != index dim $dim")
+    if (!distsCached) cacheDistances()
     val level = math.floor(-math.log(rng.nextDouble() + 1e-300) * mL).toInt
-    val node  = ids.length
-    ids += id; vecs += v; levels += level
-    links += Array.fill(level + 1)(new ArrayBuffer[Int](maxDegree(0)))
+    val node  = appendNode(id, level)
+    val qOff  = node * dim
+    System.arraycopy(distance.prepare(v), 0, vecs, qOff, dim)
 
     if (entry < 0) { entry = node; topLevel = level; return }
 
+    val s  = scratch.get()
     var ep = entry
     var l  = topLevel
-    while (l > level) { ep = greedyClosest(v, ep, l); l -= 1 }
+    while (l > level) { ep = greedyClosest(vecs, qOff, ep, l); l -= 1 }
 
     l = math.min(level, topLevel)
     while (l >= 0) {
-      val cands     = searchLayer(v, ep, params.efConstruction, l)
-      val neighbors = selectHeuristic(cands, maxDegree(l))
+      val found = searchLayer(vecs, qOff, ep, params.efConstruction, l, s)
+      ep = s.outIds(0)
+      val arr = linkArr(node, l); val dArr = distArr(node, l); val off = linkOff(node, l)
+      val kept = selectHeuristic(s.outIds, s.outDists, found, maxDegree(l), arr, dArr, off, s)
+      setDegree(node, l, kept)
       var i = 0
-      while (i < neighbors.length) {
-        val n = neighbors(i)
-        links(node)(l) += n
-        links(n)(l) += node
-        shrink(n, l)
-        i += 1
-      }
-      ep = cands.head._1
+      while (i < kept) { link(arr(off + i), l, node, dArr(off + i), s); i += 1 }
       l -= 1
     }
 
@@ -239,25 +344,29 @@ final class HnswIndex private (
 
   /** Top-`k` approximate nearest neighbors of `q`, sorted by ascending
     * distance (ties by external id). `ef` defaults to
-    * `max(params.efSearch, k)`.
+    * `max(params.efSearch, k)`. Safe to call from several threads at once
+    * (see the class doc).
     */
   def search(q: Array[Float], k: Int, ef: Int = -1): Array[Neighbor] = {
-    if (size == 0) return Array.empty
+    if (n == 0) return Array.empty
     require(q.length == dim, s"query dim ${q.length} != index dim $dim")
     val beam = math.max(if (ef > 0) ef else params.efSearch, k)
+    val qp = distance.prepare(q)
+    val s  = scratch.get()
     var ep = entry
     var l  = topLevel
-    while (l > 0) { ep = greedyClosest(q, ep, l); l -= 1 }
-    val cands = searchLayer(q, ep, beam, 0)
-    cands
-      .map { case (n, d) => Neighbor(ids(n), d) }
-      .sortBy(n => (n.dist, n.id))
-      .take(k)
-      .toArray
+    while (l > 0) { ep = greedyClosest(qp, 0, ep, l); l -= 1 }
+    val found = searchLayer(qp, 0, ep, beam, 0, s)
+    val out = new Array[Neighbor](found)
+    var i = 0
+    while (i < found) { out(i) = Neighbor(ids(s.outIds(i)), s.outDists(i)); i += 1 }
+    java.util.Arrays.sort(out, HnswIndex.ByDistThenId)
+    out.take(k)
   }
 
   /** Serialize to a binary stream (index + vectors + metadata), the unit the
-    * LANNS indexer persists per (shard, segment).
+    * LANNS indexer persists per (shard, segment). Vectors are written in the
+    * distance's prepared form.
     */
   def writeTo(out: DataOutputStream): Unit = {
     out.writeInt(HnswIndex.Magic)
@@ -265,23 +374,28 @@ final class HnswIndex private (
     out.writeUTF(distance.name)
     out.writeInt(params.m); out.writeInt(params.efConstruction)
     out.writeInt(params.efSearch); out.writeLong(params.seed)
-    out.writeInt(size); out.writeInt(entry); out.writeInt(topLevel)
+    out.writeInt(n); out.writeInt(entry); out.writeInt(topLevel)
+    var buf = ByteBuffer.allocate(0)
     var i = 0
-    while (i < size) {
-      out.writeLong(ids(i))
-      out.writeInt(levels(i))
-      val v = vecs(i)
-      var j = 0
-      while (j < dim) { out.writeFloat(v(j)); j += 1 }
-      val ls = links(i)
+    while (i < n) {
+      val level = levels(i)
+      var bytes = 12 + 4 * dim + 4 * (level + 1)
       var l = 0
-      while (l < ls.length) {
-        val nbrs = ls(l)
-        out.writeInt(nbrs.length)
+      while (l <= level) { bytes += 4 * degree(i, l); l += 1 }
+      if (buf.capacity < bytes) buf = ByteBuffer.allocate(math.max(bytes, 2 * buf.capacity))
+      buf.clear()
+      buf.putLong(ids(i)).putInt(level)
+      var j = 0
+      while (j < dim) { buf.putFloat(vecs(i * dim + j)); j += 1 }
+      l = 0
+      while (l <= level) {
+        val arr = linkArr(i, l); val off = linkOff(i, l); val cnt = degree(i, l)
+        buf.putInt(cnt)
         var t = 0
-        while (t < nbrs.length) { out.writeInt(nbrs(t)); t += 1 }
+        while (t < cnt) { buf.putInt(arr(off + t)); t += 1 }
         l += 1
       }
+      out.write(buf.array, 0, buf.position)
       i += 1
     }
   }
@@ -296,7 +410,101 @@ final class HnswIndex private (
 }
 
 object HnswIndex {
-  private val Magic = 0x4C414E53 // "LANS"
+  // "LNS2": files store prepared (for cosine, unit) vectors. Files of the
+  // raw-vector format ("LANS") are rejected, not searched with wrong distances.
+  private val Magic = 0x4C4E5332
+
+  /** Per-layer shape of an index: `nodesPerLayer(l)` nodes reach layer `l`,
+    * and no list on layer `l` is longer than `maxDegreePerLayer(l)`.
+    */
+  final case class Stats(nodesPerLayer: IndexedSeq[Int], maxDegreePerLayer: IndexedSeq[Int])
+
+  private val ByDistThenId: java.util.Comparator[Neighbor] = (a: Neighbor, b: Neighbor) => {
+    val c = java.lang.Double.compare(a.dist, b.dist)
+    if (c != 0) c else java.lang.Long.compare(a.id, b.id)
+  }
+
+  /** Binary min-heap of (node, key) pairs over parallel primitive arrays. */
+  private final class NodeHeap {
+    private var nodes = new Array[Int](64)
+    private var keys  = new Array[Double](64)
+    var size = 0
+
+    def clear(): Unit = size = 0
+    def topNode: Int = nodes(0)
+    def topKey: Double = keys(0)
+
+    def push(node: Int, key: Double): Unit = {
+      if (size == nodes.length) {
+        nodes = java.util.Arrays.copyOf(nodes, 2 * size)
+        keys = java.util.Arrays.copyOf(keys, 2 * size)
+      }
+      var i = size
+      size += 1
+      while (i > 0 && keys((i - 1) >>> 1) > key) {
+        val p = (i - 1) >>> 1
+        nodes(i) = nodes(p); keys(i) = keys(p)
+        i = p
+      }
+      nodes(i) = node; keys(i) = key
+    }
+
+    def pop(): Unit = {
+      size -= 1
+      if (size > 0) {
+        val node = nodes(size); val key = keys(size)
+        var i = 0
+        var done = false
+        while (!done) {
+          var c = 2 * i + 1
+          if (c >= size) done = true
+          else {
+            if (c + 1 < size && keys(c + 1) < keys(c)) c += 1
+            if (keys(c) < key) { nodes(i) = nodes(c); keys(i) = keys(c); i = c }
+            else done = true
+          }
+        }
+        nodes(i) = node; keys(i) = key
+      }
+    }
+  }
+
+  /** One thread's working memory for searches and inserts on any index:
+    * visited marks by stamp (O(1) clear between beam searches), the two
+    * beam-search heaps and buffers for results and neighbor selection.
+    */
+  private final class Scratch {
+    var visited = new Array[Int](0)
+    private var stamp = 0
+    val cand = new NodeHeap
+    val res  = new NodeHeap
+    var outIds      = new Array[Int](0)
+    var outDists    = new Array[Double](0)
+    var tmpIds      = new Array[Int](0)
+    var tmpDists    = new Array[Double](0)
+    var prunedIds   = new Array[Int](0)
+    var prunedDists = new Array[Double](0)
+
+    /** A fresh stamp for a search over `n` nodes. */
+    def newStamp(n: Int): Int = {
+      if (visited.length < n) { visited = new Array[Int](math.max(n, 2 * visited.length)); stamp = 0 }
+      if (stamp == Int.MaxValue) { java.util.Arrays.fill(visited, 0); stamp = 0 }
+      stamp += 1
+      stamp
+    }
+
+    def ensureOut(k: Int): Unit = if (outIds.length < k) {
+      outIds = new Array[Int](2 * k); outDists = new Array[Double](2 * k)
+    }
+    def ensureTmp(k: Int): Unit = if (tmpIds.length < k) {
+      tmpIds = new Array[Int](2 * k); tmpDists = new Array[Double](2 * k)
+    }
+    def ensurePruned(k: Int): Unit = if (prunedIds.length < k) {
+      prunedIds = new Array[Int](2 * k); prunedDists = new Array[Double](2 * k)
+    }
+  }
+
+  private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
 
   /** Create an empty index. */
   def empty(dim: Int, distance: Distance, params: HnswParams): HnswIndex =
@@ -313,29 +521,40 @@ object HnswIndex {
   /** Deserialize an index previously written with [[HnswIndex.writeTo]]. */
   def readFrom(in: DataInputStream): HnswIndex = {
     val magic = in.readInt()
-    require(magic == Magic, f"bad index file magic 0x$magic%08x")
+    require(magic == Magic, f"bad index file magic 0x$magic%08x (expected 0x$Magic%08x)")
     val dim  = in.readInt()
     val dist = Distance.of(in.readUTF())
     val params = HnswParams(in.readInt(), in.readInt(), in.readInt(), in.readLong())
     val n = in.readInt(); val entry = in.readInt(); val top = in.readInt()
+    require(dim >= 0 && n >= 0, s"bad index header: dim $dim, size $n")
     val idx = new HnswIndex(dim, dist, params)
     idx.entry = entry; idx.topLevel = top
+    idx.distsCached = false
+    idx.reserve(n)
+    val bytes = new Array[Byte](4 * math.max(dim, idx.stride0))
+    val buf = ByteBuffer.wrap(bytes)
     var i = 0
     while (i < n) {
       val id    = in.readLong()
       val level = in.readInt()
-      val v     = new Array[Float](dim)
+      require(level >= 0, s"bad level $level of node $i")
+      val node = idx.appendNode(id, level)
+      in.readFully(bytes, 0, 4 * dim)
+      buf.clear()
       var j = 0
-      while (j < dim) { v(j) = in.readFloat(); j += 1 }
-      val ls = Array.fill(level + 1)(new ArrayBuffer[Int])
+      while (j < dim) { idx.vecs(node * dim + j) = buf.getFloat(); j += 1 }
       var l = 0
       while (l <= level) {
         val cnt = in.readInt()
+        require(cnt >= 0 && cnt <= idx.maxDegree(l), s"bad degree $cnt of node $i on layer $l")
+        in.readFully(bytes, 0, 4 * cnt)
+        buf.clear()
+        val arr = idx.linkArr(node, l); val off = idx.linkOff(node, l)
         var t = 0
-        while (t < cnt) { ls(l) += in.readInt(); t += 1 }
+        while (t < cnt) { arr(off + t) = buf.getInt(); t += 1 }
+        idx.setDegree(node, l, cnt)
         l += 1
       }
-      idx.ids += id; idx.vecs += v; idx.levels += level; idx.links += ls
       i += 1
     }
     idx

@@ -5,16 +5,26 @@ package repro.core
   * Storage is `Array[Float]` (half the memory of doubles — the paper notes
   * most online storage is the embeddings); accumulation is in `Double` so
   * distance comparisons are stable.
+  *
+  * The offset forms read `dim` floats of each operand starting at an offset,
+  * so an index can keep all its vectors in one flat array; they do no bounds
+  * or dimension checks, which belong at the index's entry points. The
+  * whole-array forms check the dimensions and delegate to them.
   */
 object Vectors {
 
   /** Squared Euclidean distance — monotone in L2, used for all ordering. */
   def l2sq(a: Array[Float], b: Array[Float]): Double = {
     require(a.length == b.length, s"dim mismatch: ${a.length} vs ${b.length}")
+    l2sq(a, 0, b, 0, a.length)
+  }
+
+  /** Squared Euclidean distance of `a[aOff, aOff+dim)` and `b[bOff, bOff+dim)`. */
+  def l2sq(a: Array[Float], aOff: Int, b: Array[Float], bOff: Int, dim: Int): Double = {
     var s = 0.0
     var i = 0
-    while (i < a.length) {
-      val d = a(i).toDouble - b(i).toDouble
+    while (i < dim) {
+      val d = a(aOff + i).toDouble - b(bOff + i).toDouble
       s += d * d
       i += 1
     }
@@ -24,20 +34,38 @@ object Vectors {
   /** Dot product. */
   def dot(a: Array[Float], b: Array[Float]): Double = {
     require(a.length == b.length, s"dim mismatch: ${a.length} vs ${b.length}")
+    dot(a, 0, b, 0, a.length)
+  }
+
+  /** Dot product of `a[aOff, aOff+dim)` and `b[bOff, bOff+dim)`. */
+  def dot(a: Array[Float], aOff: Int, b: Array[Float], bOff: Int, dim: Int): Double = {
     var s = 0.0
     var i = 0
-    while (i < a.length) { s += a(i).toDouble * b(i).toDouble; i += 1 }
+    while (i < dim) { s += a(aOff + i).toDouble * b(bOff + i).toDouble; i += 1 }
     s
   }
 
   /** Euclidean norm. */
   def norm(a: Array[Float]): Double = math.sqrt(dot(a, a))
 
-  /** Cosine distance, 1 − cos(a, b); zero vectors are at distance 1. */
+  /** Cosine distance, 1 − cos(a, b); zero vectors are at distance 1.
+    *
+    * One pass with separate accumulators for a·b, |a|² and |b|², each summed
+    * in index order, so the value equals `1 − dot(a, b) / (norm(a)·norm(b))`
+    * bit for bit.
+    */
   def cosineDist(a: Array[Float], b: Array[Float]): Double = {
-    val na = norm(a); val nb = norm(b)
+    require(a.length == b.length, s"dim mismatch: ${a.length} vs ${b.length}")
+    var ab = 0.0; var aa = 0.0; var bb = 0.0
+    var i = 0
+    while (i < a.length) {
+      val x = a(i).toDouble; val y = b(i).toDouble
+      ab += x * y; aa += x * x; bb += y * y
+      i += 1
+    }
+    val na = math.sqrt(aa); val nb = math.sqrt(bb)
     if (na == 0.0 || nb == 0.0) 1.0
-    else 1.0 - dot(a, b) / (na * nb)
+    else 1.0 - ab / (na * nb)
   }
 
   /** Projection of `v` onto direction `h` (plain dot; `h` need not be unit). */

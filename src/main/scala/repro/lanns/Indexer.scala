@@ -123,11 +123,16 @@ object Indexer {
     finally out.close()
   }
 
-  /** Load one serialized index (executor-side at query time). */
-  def readIndexFile(path: String): HnswIndex = {
-    val in = new java.io.DataInputStream(
-      new java.io.BufferedInputStream(new java.io.FileInputStream(path)))
-    try HnswIndex.readFrom(in)
-    finally in.close()
-  }
+  /** Load one serialized index (executor-side at query time). Any failure
+    * is rethrown as an `IOException` that names `path`.
+    */
+  def readIndexFile(path: String): HnswIndex =
+    try {
+      val in = new java.io.DataInputStream(
+        new java.io.BufferedInputStream(new java.io.FileInputStream(path)))
+      try HnswIndex.readFrom(in)
+      finally in.close()
+    } catch {
+      case e: Exception => throw new java.io.IOException(s"cannot load index file $path: ${e.getMessage}", e)
+    }
 }

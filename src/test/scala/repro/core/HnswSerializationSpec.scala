@@ -54,6 +54,12 @@ class HnswSerializationSpec extends AnyFunSuite {
     assert(r.head.id === 9999L)
   }
 
+  test("two builds with the same seed and insertion order are byte-identical") {
+    Seq[Distance](Distance.Euclidean, Distance.Cosine).foreach { d =>
+      assert(sampleIndex(400, 6, d).toBytes.sameElements(sampleIndex(400, 6, d).toBytes), d.name)
+    }
+  }
+
   test("corrupt magic is rejected") {
     val bytes = sampleIndex(10, 3).toBytes
     bytes(0) = 0x00

@@ -109,14 +109,15 @@ class HnswSpec extends AnyFunSuite {
 
   test("adjacency degree never exceeds 2*m") {
     val idx = build(clustered(1000, 8, 8, 12L), 8)
-    assert(idx.maxObservedDegree <= 2 * params.m)
+    assert(idx.stats.maxDegreePerLayer.max <= 2 * params.m)
   }
 
   test("level distribution decays roughly geometrically") {
     val idx = build(clustered(2000, 4, 5, 13L), 4)
-    val l0 = idx.countAtLevel(0)
-    val l1 = idx.countAtLevel(1)
-    val l2 = idx.countAtLevel(2)
+    val nodes = idx.stats.nodesPerLayer
+    val l0 = nodes(0)
+    val l1 = nodes.lift(1).getOrElse(0)
+    val l2 = nodes.lift(2).getOrElse(0)
     assert(l0 === 2000)
     assert(l1 < l0 / 2) // expected fraction 1/m = 1/8
     assert(l2 <= l1)
@@ -158,6 +159,80 @@ class HnswSpec extends AnyFunSuite {
       assert(idx.maxLevel >= maxSeen)
       maxSeen = idx.maxLevel
     }
+  }
+
+  /** `clustered` rows scaled by random factors in [0.1, 10]. */
+  private def scaledClustered(n: Int, dim: Int, nClusters: Int, seed: Long): IndexedSeq[(Long, Array[Float])] = {
+    val rng = new java.util.Random(seed ^ 0x5CA1EL)
+    clustered(n, dim, nClusters, seed).map { case (id, v) =>
+      val f = (0.1 + rng.nextDouble() * 9.9).toFloat
+      id -> v.map(_ * f)
+    }
+  }
+
+  test("cosine recall@10 >= 0.9 vs brute force on rows of mixed magnitude") {
+    val data = scaledClustered(2000, 16, 20, 16L)
+    val idx = HnswIndex.build(16, Distance.Cosine,
+      HnswParams(m = 16, efConstruction = 100, efSearch = 100, seed = 2L), data.iterator)
+    val rng = new java.util.Random(17L)
+    val queries = (0 until 50).map { _ =>
+      val f = 0.1 + rng.nextDouble() * 9.9
+      Array.fill(16)((rng.nextGaussian() * 0.5 * f).toFloat)
+    }
+    val recalls = queries.map { q =>
+      val approx = idx.search(q, 10, ef = 100).map(_.id).toSet
+      val exact = BruteForce.topK(data, q, 10, Distance.Cosine).map(_.id).toSet
+      (approx & exact).size / 10.0
+    }
+    val mean = recalls.sum / recalls.length
+    assert(mean >= 0.9, s"mean cosine recall@10 was $mean")
+  }
+
+  test("cosine distances equal Distance.Cosine on the raw vectors") {
+    val data = scaledClustered(500, 8, 6, 18L)
+    val byId = data.toMap
+    val idx = HnswIndex.build(8, Distance.Cosine, params, data.iterator)
+    val rng = new java.util.Random(19L)
+    (0 until 20).foreach { _ =>
+      val q = Array.fill(8)((rng.nextGaussian() * 3).toFloat)
+      idx.search(q, 10).foreach { nb =>
+        val want = Distance.Cosine(q, byId(nb.id))
+        assert(math.abs(nb.dist - want) <= 1e-6, s"id ${nb.id}: ${nb.dist} vs $want")
+      }
+    }
+  }
+
+  test("a zero vector, stored or queried, is at cosine distance 1") {
+    val idx = HnswIndex.empty(3, Distance.Cosine, params)
+    idx.add(1L, Array(0f, 0f, 0f))
+    idx.add(2L, Array(1f, 2f, 3f))
+    idx.add(3L, Array(-4f, 0.5f, 2f))
+    val fromZero = idx.search(Array(0f, 0f, 0f), 3, ef = 10)
+    assert(fromZero.length === 3)
+    assert(fromZero.forall(_.dist == 1.0), fromZero.toSeq)
+    val toZero = idx.search(Array(1f, 2f, 3f), 3, ef = 10).find(_.id == 1L)
+    assert(toZero.map(_.dist) === Some(1.0))
+  }
+
+  test("concurrent searches on one shared index return the sequential results") {
+    val data = clustered(3000, 16, 20, 20L)
+    val idx = build(data, 16, HnswParams(m = 8, efConstruction = 60, efSearch = 80, seed = 5L))
+    val rng = new java.util.Random(21L)
+    val queries = Array.fill(4, 200)(Array.fill(16)((rng.nextGaussian() * 0.5).toFloat))
+    val sequential = queries.map(_.map(q => idx.search(q, 10).toSeq))
+    val start = new java.util.concurrent.CountDownLatch(1)
+    val concurrent = Array.ofDim[Seq[Neighbor]](4, 200)
+    val threads = (0 until 4).map { t =>
+      new Thread(() => {
+        start.await()
+        queries(t).indices.foreach(i => concurrent(t)(i) = idx.search(queries(t)(i), 10).toSeq)
+      })
+    }
+    threads.foreach(_.start())
+    start.countDown()
+    threads.foreach(_.join())
+    for (t <- 0 until 4; i <- 0 until 200)
+      assert(concurrent(t)(i) === sequential(t)(i), s"thread $t query $i")
   }
 
   test("search with default ef uses params.efSearch (still >= k)") {

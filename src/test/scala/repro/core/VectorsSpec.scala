@@ -102,6 +102,15 @@ class VectorsSpec extends AnyFunSuite {
     })
   }
 
+  test("property: cosineDist equals 1 - dot/(norm·norm) bit for bit, zero vectors included") {
+    val withZeros = Gen.frequency(4 -> vecGen(7), 1 -> Gen.const(Array.fill(7)(0f)))
+    check(Prop.forAll(withZeros, withZeros) { (a, b) =>
+      val (na, nb) = (Vectors.norm(a), Vectors.norm(b))
+      val want = if (na == 0.0 || nb == 0.0) 1.0 else 1.0 - Vectors.dot(a, b) / (na * nb)
+      Vectors.cosineDist(a, b) === want
+    })
+  }
+
   test("property: l2 triangle inequality (on sqrt of l2sq)") {
     check(Prop.forAll(vecGen(5), vecGen(5), vecGen(5)) { (a, b, c) =>
       val ab = math.sqrt(Vectors.l2sq(a, b))

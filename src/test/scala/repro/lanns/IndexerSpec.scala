@@ -51,6 +51,17 @@ class IndexerSpec extends SparkSpec {
     }
   }
 
+  test("an index file with the pre-unit-vector magic fails to load, naming its path") {
+    val idx = repro.core.HnswIndex.build(3, Distance.Cosine, params,
+      Iterator(1L -> Array(1f, 0f, 0f), 2L -> Array(0f, 2f, 0f)))
+    val bytes = idx.toBytes
+    java.nio.ByteBuffer.wrap(bytes).putInt(0, 0x4C414E53) // "LANS", the previous format
+    val path = Files.createTempDirectory("lanns-old-magic").resolve("segment_0.hnsw")
+    Files.write(path, bytes)
+    val e = intercept[java.io.IOException](Indexer.readIndexFile(path.toString))
+    assert(e.getMessage.contains(path.toString), e.getMessage)
+  }
+
   test("metadata round-trips through the driver-written meta file") {
     val data = VectorData.clustered(spark, 300, 8, 4, seed = 5L)
     val dir = tmpDir()
