@@ -24,6 +24,11 @@ final case class TaggedRow(key: Long, vec: Array[Float], shard: Int, segment: In
 /** One partial search result produced inside an executor. */
 final case class Hit(qid: Long, shard: Int, segment: Int, id: Long, dist: Double)
 
+/** One row of a merged query result: `id` is the `rank`-th nearest
+  * neighbour of query `qid`, at distance `dist`.
+  */
+final case class RankedHit(qid: Long, id: Long, dist: Double, rank: Int)
+
 /** Metadata for one per-(shard, segment) HNSW index persisted by the
   * indexer; the driver aggregates these into [[repro.lanns.LannsMeta]].
   *

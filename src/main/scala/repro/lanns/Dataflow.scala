@@ -8,7 +8,8 @@ import repro.core.TaggedRow
 import scala.collection.mutable
 
 /** The steps the build (§5.2), query (§5.3) and brute-force (§5.4) jobs
-  * share: executor slotting, checkpointed merging, and the per-query top-K.
+  * share: executor slotting and checkpointed merging, plus the per-query
+  * top-K of brute force's final merge.
   */
 private[lanns] object Dataflow {
 

@@ -1,9 +1,8 @@
 package repro.lanns
 
 import org.apache.spark.sql.{DataFrame, Dataset}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
-import repro.core.{Hit, QueryRow, TaggedRow}
+import repro.core.{Hit, QueryRow, RankedHit, TaggedRow}
+import scala.collection.mutable
 
 /** Distributed querying over a two-level partitioned index (§5.3, Figure 7).
   *
@@ -12,8 +11,8 @@ import repro.core.{Hit, QueryRow, TaggedRow}
   * (shard, segment) index once, runs partial HNSW searches, and emits
   * per-segment hits. Merging is two-level, mirroring the online system:
   * segment hits merge *within* a shard first (keeping the perShardTopK best,
-  * §5.3.2), then shard results merge globally to the final topK. Both merges
-  * are Catalyst `Window` operators over repartitioned keys.
+  * §5.3.2), then shard results merge globally to the final topK. Both levels
+  * run in one pass per query, after at most one shuffle of the hits by qid.
   *
   * Partial results can be checkpointed to a temporary directory between
   * stages (§5.3.1's defense against cascading executor time-outs); pass
@@ -33,6 +32,9 @@ object Querier {
     *                    `<dir>/partial_hits` and reloaded before merging;
     *                    only that subdirectory is deleted afterwards
     * @return DataFrame (qid, id, dist, rank) with rank in 1..topK
+    * @throws IllegalArgumentException if topK or efSearch is below 1; a
+    *         query whose length is not `meta.dim` or that has a NaN or ±Inf
+    *         component fails the job with an error naming its qid
     */
   def search(
       queries: Dataset[QueryRow],
@@ -43,6 +45,8 @@ object Querier {
       numExecutors: Int = 8,
       checkpointDir: Option[String] = None,
   ): DataFrame = {
+    require(topK >= 1, s"topK must be >= 1, got $topK")
+    require(efSearch >= 1, s"efSearch must be >= 1, got $efSearch")
     val spark = queries.sparkSession
     import spark.implicits._
 
@@ -55,7 +59,9 @@ object Querier {
     val pathsB = spark.sparkContext.broadcast(paths)
 
     // Route: all shards × the segmenter's query segments (virtual spill).
+    val dim = meta.dim
     val routed: Dataset[TaggedRow] = queries.flatMap { q =>
+      checkQuery(q, dim)
       val segs = segB.value.routeQuery(q.vec)
       for {
         s <- 0 until shards
@@ -77,24 +83,111 @@ object Querier {
     Dataflow.checkpointed(rawHits.toDF(), checkpointDir, "partial_hits")(mergeHits(_, kShard, topK))
   }
 
+  /** Rejects a query the index cannot score, naming its qid. */
+  private def checkQuery(q: QueryRow, dim: Int): Unit = {
+    require(q.vec.length == dim,
+      s"query qid ${q.qid} has ${q.vec.length} components; the index has dim $dim")
+    val bad = q.vec.indexWhere(x => !java.lang.Float.isFinite(x))
+    require(bad < 0, s"query qid ${q.qid} has non-finite component ${q.vec(bad)} at $bad")
+  }
+
   /** Two-level merge (§5.3): segment hits → per-shard top `kShard`
     * (deduplicating ids that physical spill stored in several segments),
-    * then shard results → global top `topK`.
+    * then shard results → global top `topK`, in one pass per query over
+    * its hits ([[QueryHits]]). Hits are grouped by qid: one shuffle, or none
+    * when they already sit in one partition, and a sort on qid.
+    * Distances order as in Spark SQL (-0.0 equals 0.0, NaN after every
+    * number), ties by ascending id. Ids are not deduplicated across shards.
     *
     * @param hits DataFrame with columns (qid, shard, segment, id, dist)
     * @return DataFrame (qid, id, dist, rank)
     */
   def mergeHits(hits: DataFrame, kShard: Int, topK: Int): DataFrame = {
-    // Level 1: within (query, shard) — physical spill can surface the same
-    // id from several segments; keep its best distance, then the shard's top.
-    val shardLevel = hits
-      .groupBy("qid", "shard", "id")
-      .agg(min("dist").as("dist"))
-      .withColumn("shard_rank",
-        row_number().over(Window.partitionBy("qid", "shard").orderBy(col("dist"), col("id"))))
-      .filter(col("shard_rank") <= kShard)
+    import hits.sparkSession.implicits._
+    hits.groupBy("qid").as[Long, Hit]
+      .flatMapGroups { (qid, qHits) =>
+        val q = new QueryHits
+        qHits.foreach(q.add)
+        q.merge(qid, kShard, topK)
+      }
+      .toDF()
+  }
 
-    // Level 2: across shards — the broker-side merge.
-    Dataflow.topKPerQuery(shardLevel, topK)
+  /** One query's hits, held as primitive columns in arrival order. */
+  private final class QueryHits {
+    private var n = 0
+    private var shards = 0 // 1 + the largest shard seen; shards are >= 0
+    private var shard = new Array[Int](16)
+    private var id = new Array[Long](16)
+    private var dist = new Array[Double](16)
+
+    def add(h: Hit): Unit = {
+      if (n == id.length) {
+        shard = java.util.Arrays.copyOf(shard, 2 * n)
+        id = java.util.Arrays.copyOf(id, 2 * n)
+        dist = java.util.Arrays.copyOf(dist, 2 * n)
+      }
+      shard(n) = h.shard; id(n) = h.id; dist(n) = h.dist
+      shards = math.max(shards, h.shard + 1)
+      n += 1
+    }
+
+    /** Walks the hits in (dist, id) order. The first copy of a (shard, id)
+      * carries its smallest distance; it is kept while its shard has fewer
+      * than `kShard` kept hits, until `topK` are kept. The kept hits are the
+      * global top `topK` of the per-shard top `kShard` lists.
+      */
+    def merge(qid: Long, kShard: Int, topK: Int): Iterator[RankedHit] = {
+      val order = Array.range(0, n)
+      sort(order, new Array[Int](n), 0, n)
+      val kept = new Array[Int](shards)
+      // open addressing over hit indices + 1, for the (shard, id) pairs seen
+      val mask = Integer.highestOneBit(n) * 4 - 1
+      val seen = new Array[Int](mask + 1)
+      def firstCopy(h: Int): Boolean = {
+        var s = ((id(h) * 31 + shard(h)) * 0x9E3779B97F4A7C15L >>> 32).toInt & mask
+        while (seen(s) != 0) {
+          val o = seen(s) - 1
+          if (id(o) == id(h) && shard(o) == shard(h)) return false
+          s = (s + 1) & mask
+        }
+        seen(s) = h + 1
+        true
+      }
+      val out = new mutable.ArrayBuffer[RankedHit](math.min(n, topK))
+      var i = 0
+      while (i < n && out.length < topK) {
+        val h = order(i)
+        if (firstCopy(h) && kept(shard(h)) < kShard) {
+          kept(shard(h)) += 1
+          out += RankedHit(qid, id(h), dist(h), out.length + 1)
+        }
+        i += 1
+      }
+      out.iterator
+    }
+
+    /** Spark SQL's order on (dist, id). */
+    private def before(a: Int, b: Int): Boolean = {
+      val c = if (dist(a) == dist(b)) 0 else java.lang.Double.compare(dist(a), dist(b))
+      c < 0 || (c == 0 && id(a) < id(b))
+    }
+
+    /** Merge sort of the hit indices `ix[lo, hi)`, with `tmp` as scratch. */
+    private def sort(ix: Array[Int], tmp: Array[Int], lo: Int, hi: Int): Unit =
+      if (hi - lo > 1) {
+        val mid = (lo + hi) >>> 1
+        sort(ix, tmp, lo, mid)
+        sort(ix, tmp, mid, hi)
+        System.arraycopy(ix, lo, tmp, lo, hi - lo)
+        var i = lo
+        var j = mid
+        var k = lo
+        while (k < hi) {
+          if (j == hi || (i < mid && !before(tmp(j), tmp(i)))) { ix(k) = tmp(i); i += 1 }
+          else { ix(k) = tmp(j); j += 1 }
+          k += 1
+        }
+      }
   }
 }

@@ -1,8 +1,12 @@
 package repro.lanns
 
 import java.nio.file.Files
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
+import org.apache.spark.sql.types.{DoubleType, IntegerType, LongType}
 import repro.{Oracle, SparkSpec, VectorData}
-import repro.core.{Distance, HnswParams}
+import repro.core.{Distance, Hit, HnswParams, QueryRow}
 import repro.eval.Recall
 import repro.segment.{RandomSegmenter, SegmenterLearner}
 
@@ -42,6 +46,101 @@ class QuerierSpec extends SparkSpec {
         |WHERE rank <= 3""".stripMargin,
       "hits" -> hits,
     )
+  }
+
+  /** Seeded partial hits with many ties: ~600 hits over 20 qids, 3 shards and
+    * 4 segments, integer distances 0..9, ids repeated across the segments of
+    * one shard, and shards with anywhere from 0 to 20 hits. Each id lives in
+    * one shard (id mod 3), as sharding guarantees.
+    */
+  private def randomHits(seed: Long): DataFrame = {
+    import spark.implicits._
+    val rnd = new scala.util.Random(seed)
+    val hits = for {
+      qid <- 0L until 20L
+      shard <- 0 until 3
+      _ <- 0 until rnd.nextInt(21)
+    } yield Hit(qid, shard, rnd.nextInt(4), shard + 3L * rnd.nextInt(8), rnd.nextInt(10).toDouble)
+    hits.toDF()
+  }
+
+  test("two-level merge matches the DuckDB oracle on seeded hits with ties and duplicates") {
+    val topK = 6
+    for (seed <- Seq(1L, 2L, 3L); kShard <- Seq(1, 3, topK)) {
+      val hits = randomHits(seed)
+      Oracle.assertEquivalent(
+        Querier.mergeHits(hits, kShard, topK),
+        s"""WITH sb AS (
+           |  SELECT CAST(qid AS BIGINT) AS qid, CAST(shard AS INT) AS shard,
+           |         CAST(id AS BIGINT) AS id, MIN(CAST(dist AS DOUBLE)) AS dist
+           |  FROM hits GROUP BY 1, 2, 3),
+           |sr AS (
+           |  SELECT qid, shard, id, dist,
+           |         row_number() OVER (PARTITION BY qid, shard ORDER BY dist, id) AS rn
+           |  FROM sb)
+           |SELECT qid, id, dist, rank FROM (
+           |  SELECT qid, id, dist,
+           |         row_number() OVER (PARTITION BY qid ORDER BY dist, id) AS rank
+           |  FROM sr WHERE rn <= $kShard)
+           |WHERE rank <= $topK""".stripMargin,
+        "hits" -> hits,
+      )
+    }
+  }
+
+  test("two-level merge is one shuffle on qid and keeps its schema when empty") {
+    import spark.implicits._
+    val merged = Querier.mergeHits(randomHits(4L), kShard = 3, topK = 6)
+    merged.collect() // fixes the adaptive plan
+    val shuffles = new AdaptiveSparkPlanHelper {}
+      .collect(merged.queryExecution.executedPlan) { case e: ShuffleExchangeLike => e }
+    assert(shuffles.size === 1, merged.queryExecution.executedPlan.treeString)
+
+    assert(merged.schema.map(f => f.name -> f.dataType) ===
+      Seq("qid" -> LongType, "id" -> LongType, "dist" -> DoubleType, "rank" -> IntegerType))
+    assert(!merged.schema("rank").nullable)
+    val empty = Querier.mergeHits(spark.emptyDataset[Hit].toDF(), kShard = 3, topK = 6)
+    assert(empty.collect().isEmpty)
+    assert(empty.schema === merged.schema)
+  }
+
+  private lazy val smallIndex = {
+    val data = VectorData.clustered(spark, 300, 8, 3, seed = 12L)
+    Indexer.build(data, 8, 2, new RandomSegmenter(2), Distance.Euclidean,
+      params, tmpDir("q-valid"), 2)
+  }
+
+  /** Runs a search over `vecs` (the query with qid 4242 is the bad one) and
+    * asserts that it fails with an error naming qid 4242.
+    */
+  private def assertRejects(vecs: Seq[(Long, Array[Float])]): Unit = {
+    import spark.implicits._
+    val queries = vecs.map { case (qid, v) => QueryRow(qid, v) }.toDS()
+    val e = intercept[Exception](Querier.search(queries, smallIndex, 5, 60, None, 2).collect())
+    val chain = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+    assert(chain.exists(t => Option(t.getMessage).exists(_.contains("qid 4242"))), e)
+  }
+
+  private val good = Array.fill(8)(0.5f)
+
+  test("search rejects topK or efSearch below 1") {
+    import spark.implicits._
+    val queries = Seq(QueryRow(1L, good)).toDS()
+    intercept[IllegalArgumentException](Querier.search(queries, smallIndex, 0, 60, None, 2))
+    intercept[IllegalArgumentException](Querier.search(queries, smallIndex, 5, 0, None, 2))
+  }
+
+  test("search rejects a query of the wrong dimension, naming its qid") {
+    assertRejects(Seq(1L -> good, 4242L -> Array.fill(7)(0.5f)))
+  }
+
+  test("search rejects a query with a NaN component, naming its qid") {
+    assertRejects(Seq(1L -> good, 4242L -> good.updated(3, Float.NaN)))
+  }
+
+  test("search rejects a query with an infinite component, naming its qid") {
+    assertRejects(Seq(1L -> good, 4242L -> good.updated(0, Float.PositiveInfinity)))
+    assertRejects(Seq(4242L -> good.updated(7, Float.NegativeInfinity)))
   }
 
   test("end-to-end recall with RS segmentation is high on clustered data") {
