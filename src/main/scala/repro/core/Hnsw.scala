@@ -41,6 +41,19 @@ final case class HnswParams(
   * an overfull list after a back-link scores only candidate pairs, never the
   * list against its owner again.
   *
+  * Each list also keeps its heuristic *split*: the heuristic writes the
+  * candidates it kept, then the pruned ones it backfilled, both in walk
+  * order, and the split counts the kept ones. Only kept entries prune, so
+  * dropping pruned candidates changes no other entry's class: a fresh
+  * heuristic pass over the stored list, stably sorted by distance (which
+  * puts kept entries before pruned ones of equal distance), classifies it
+  * exactly as the split says. A back-link therefore re-prunes incrementally
+  * and still writes the list a full pass would write: entries ahead of the
+  * new neighbor keep their class for free, and behind it only what the new
+  * neighbor can change is re-checked (see [[selectHeuristic]]). The split is
+  * build-time state, not serialized: a list that grew by a plain append, or
+  * was loaded from a file, is unclassified (−1) until its next full pass.
+  *
   * Thread safety: `add` needs a single owner, and no search may run while an
   * `add` is in progress (the LANNS indexer builds each index inside a single
   * Spark task). Once adds have stopped, any number of threads may search one
@@ -52,7 +65,7 @@ final class HnswIndex private (
     val distance: Distance,
     val params: HnswParams,
 ) extends Serializable {
-  import HnswIndex.{Scratch, scratch}
+  import HnswIndex.{Kept, Pruned, Scratch, Unknown, scratch}
 
   private val m0      = 2 * params.m
   private val stride0 = m0 + 1
@@ -63,13 +76,17 @@ final class HnswIndex private (
   private var levels = new Array[Int](0)
   private var vecs   = new Array[Float](0)
   // Layer 0: node i's neighbors at links0[i·stride0, i·stride0 + deg0(i)),
-  // their distances to i at the same offsets of dists0.
+  // their distances to i at the same offsets of dists0, the list's
+  // heuristic split at split0(i).
   private var deg0   = new Array[Int](0)
+  private var split0 = new Array[Int](0)
   private var links0 = new Array[Int](0)
   private var dists0 = new Array[Double](0)
   // Layers 1..level(i) of node i: layer l at offset (l−1)·strideU of
-  // linksU(i)/distsU(i), its count at degU(i)(l−1); null when level(i) = 0.
+  // linksU(i)/distsU(i), its count at degU(i)(l−1), its split at
+  // splitU(i)(l−1); null when level(i) = 0.
   private var degU   = new Array[Array[Int]](0)
+  private var splitU = new Array[Array[Int]](0)
   private var linksU = new Array[Array[Int]](0)
   private var distsU = new Array[Array[Double]](0)
   // A loaded index leaves the distances uncomputed until its first add.
@@ -119,6 +136,13 @@ final class HnswIndex private (
 
   private def setDegree(node: Int, layer: Int, d: Int): Unit =
     if (layer == 0) deg0(node) = d else degU(node)(layer - 1) = d
+
+  /** Number of heuristic-kept entries at the head of the list, −1 when unclassified. */
+  private def split(node: Int, layer: Int): Int =
+    if (layer == 0) split0(node) else splitU(node)(layer - 1)
+
+  private def setSplit(node: Int, layer: Int, k: Int): Unit =
+    if (layer == 0) split0(node) = k else splitU(node)(layer - 1) = k
 
   private def linkArr(node: Int, layer: Int): Array[Int] =
     if (layer == 0) links0 else linksU(node)
@@ -200,42 +224,67 @@ final class HnswIndex private (
   }
 
   /** Select-neighbors heuristic (HNSW Algorithm 4) over the `count`
-    * candidates `cIds`/`cDists`, sorted by ascending distance to the base
-    * point: keep a candidate only if it is closer to the base than to any
-    * already-kept neighbor; backfill with the nearest pruned candidates if
-    * fewer than `cap` survive. Writes the selection at `outOff` of
-    * `outIds`/`outDists` (which must not alias the candidates) and returns its
-    * size.
+    * candidates `cIds`/`cDists`, sorted by ascending distance to `node`:
+    * keep a candidate only if it is closer to `node` than to every
+    * already-kept neighbor, until `cap` are kept; backfill with the nearest
+    * pruned candidates if fewer survive. Writes the kept candidates, then the
+    * backfill, as `node`'s list on `layer` (the candidates must not alias
+    * it), and records how many were kept as the list's split.
+    *
+    * `cPrior` gives each candidate's class in the previous pass over the same
+    * list (`Kept`, `Pruned` or `Unknown`); all `Unknown` is the plain
+    * heuristic. A known class skips checks whose outcome it already fixes:
+    * a candidate kept before is pruned now only by a newly kept one, so it is
+    * checked only against kept entries from the first newly kept onwards; a
+    * candidate pruned before was pruned by a kept one ahead of it, so it
+    * stays pruned, unchecked, until a previously kept candidate loses its
+    * place. Every candidate therefore gets the class the plain heuristic
+    * would give it.
     */
-  private def selectHeuristic(cIds: Array[Int], cDists: Array[Double], count: Int, cap: Int,
-                              outIds: Array[Int], outDists: Array[Double], outOff: Int,
-                              s: Scratch): Int = {
+  private def selectHeuristic(node: Int, layer: Int, cIds: Array[Int], cDists: Array[Double],
+                              cPrior: Array[Int], count: Int, s: Scratch): Unit = {
+    val outIds = linkArr(node, layer); val outDists = distArr(node, layer)
+    val outOff = linkOff(node, layer)
+    val cap = maxDegree(layer)
     s.ensurePruned(count)
     var kept = 0
     var pruned = 0
+    var firstNew = cap // output slot of the first candidate kept that was not kept before
+    var lost = false   // whether a candidate kept before has been pruned
     var i = 0
     while (i < count && kept < cap) {
-      val c = cIds(i); val dc = cDists(i)
-      var good = true
-      var j = 0
+      val c = cIds(i); val dc = cDists(i); val prior = cPrior(i)
+      var good = prior != Pruned || lost
+      var j = if (prior == Kept) firstNew else 0
       while (good && j < kept) {
         if (distance.prepared(vecs, c * dim, vecs, outIds(outOff + j) * dim, dim) < dc) good = false
         j += 1
       }
-      if (good) { outIds(outOff + kept) = c; outDists(outOff + kept) = dc; kept += 1 }
-      else { s.prunedIds(pruned) = c; s.prunedDists(pruned) = dc; pruned += 1 }
+      if (good) {
+        if (prior != Kept && firstNew == cap) firstNew = kept
+        outIds(outOff + kept) = c; outDists(outOff + kept) = dc; kept += 1
+      } else {
+        if (prior == Kept) lost = true
+        s.prunedIds(pruned) = c; s.prunedDists(pruned) = dc; pruned += 1
+      }
       i += 1
     }
+    setSplit(node, layer, kept)
     var p = 0
-    while (kept < cap && p < pruned) {
-      outIds(outOff + kept) = s.prunedIds(p); outDists(outOff + kept) = s.prunedDists(p)
-      kept += 1; p += 1
+    var size = kept
+    while (size < cap && p < pruned) {
+      outIds(outOff + size) = s.prunedIds(p); outDists(outOff + size) = s.prunedDists(p)
+      size += 1; p += 1
     }
-    kept
+    setDegree(node, layer, size)
   }
 
-  /** Append `nb` at distance `d` to `node`'s list on `layer`; re-prune the
-    * list with the heuristic, from the cached distances, if it overflows.
+  /** Append `nb` at distance `d` to `node`'s list on `layer`. A list that
+    * overflows is re-pruned with the heuristic from the cached distances,
+    * each entry carrying its class from the list's split; an append that
+    * fits leaves the list unclassified. The sort is stable, so among equal
+    * distances kept entries stay ahead of pruned ones and `nb` comes last:
+    * the order in which the split is what a fresh pass would compute.
     */
   private def link(node: Int, layer: Int, nb: Int, d: Double, s: Scratch): Unit = {
     val arr = linkArr(node, layer)
@@ -244,20 +293,24 @@ final class HnswIndex private (
     val cnt = degree(node, layer)
     arr(off + cnt) = nb; dArr(off + cnt) = d
     val cap = maxDegree(layer)
-    if (cnt + 1 <= cap) setDegree(node, layer, cnt + 1)
+    if (cnt + 1 <= cap) { setDegree(node, layer, cnt + 1); setSplit(node, layer, Unknown) }
     else {
       // stable insertion sort of the list by distance into scratch
+      val k = split(node, layer)
       s.ensureTmp(cnt + 1)
-      val tIds = s.tmpIds; val tDists = s.tmpDists
+      val tIds = s.tmpIds; val tDists = s.tmpDists; val tPrior = s.tmpPrior
       var i = 0
       while (i <= cnt) {
         val id = arr(off + i); val di = dArr(off + i)
+        val pi = if (k < 0 || i == cnt) Unknown else if (i < k) Kept else Pruned
         var j = i - 1
-        while (j >= 0 && tDists(j) > di) { tIds(j + 1) = tIds(j); tDists(j + 1) = tDists(j); j -= 1 }
-        tIds(j + 1) = id; tDists(j + 1) = di
+        while (j >= 0 && tDists(j) > di) {
+          tIds(j + 1) = tIds(j); tDists(j + 1) = tDists(j); tPrior(j + 1) = tPrior(j); j -= 1
+        }
+        tIds(j + 1) = id; tDists(j + 1) = di; tPrior(j + 1) = pi
         i += 1
       }
-      setDegree(node, layer, selectHeuristic(tIds, tDists, cnt + 1, cap, arr, dArr, off, s))
+      selectHeuristic(node, layer, tIds, tDists, tPrior, cnt + 1, s)
     }
   }
 
@@ -267,9 +320,11 @@ final class HnswIndex private (
     levels = java.util.Arrays.copyOf(levels, cap)
     vecs   = java.util.Arrays.copyOf(vecs, cap * dim)
     deg0   = java.util.Arrays.copyOf(deg0, cap)
+    split0 = java.util.Arrays.copyOf(split0, cap)
     links0 = java.util.Arrays.copyOf(links0, cap * stride0)
     if (distsCached) dists0 = java.util.Arrays.copyOf(dists0, cap * stride0)
     degU   = java.util.Arrays.copyOf(degU, cap)
+    splitU = java.util.Arrays.copyOf(splitU, cap)
     linksU = java.util.Arrays.copyOf(linksU, cap)
     distsU = java.util.Arrays.copyOf(distsU, cap)
   }
@@ -299,9 +354,10 @@ final class HnswIndex private (
   private def appendNode(id: Long, level: Int): Int = {
     if (n == ids.length) reserve(math.max(16, 2 * n))
     val node = n
-    ids(node) = id; levels(node) = level; deg0(node) = 0
+    ids(node) = id; levels(node) = level; deg0(node) = 0; split0(node) = Unknown
     if (level > 0) {
       degU(node) = new Array[Int](level)
+      splitU(node) = Array.fill(level)(Unknown)
       linksU(node) = new Array[Int](level * strideU)
       if (distsCached) distsU(node) = new Array[Double](level * strideU)
     }
@@ -331,9 +387,11 @@ final class HnswIndex private (
     while (l >= 0) {
       val found = searchLayer(vecs, qOff, ep, params.efConstruction, l, s)
       ep = s.outIds(0)
+      s.ensureTmp(found)
+      java.util.Arrays.fill(s.tmpPrior, 0, found, Unknown)
+      selectHeuristic(node, l, s.outIds, s.outDists, s.tmpPrior, found, s)
       val arr = linkArr(node, l); val dArr = distArr(node, l); val off = linkOff(node, l)
-      val kept = selectHeuristic(s.outIds, s.outDists, found, maxDegree(l), arr, dArr, off, s)
-      setDegree(node, l, kept)
+      val kept = degree(node, l)
       var i = 0
       while (i < kept) { link(arr(off + i), l, node, dArr(off + i), s); i += 1 }
       l -= 1
@@ -414,6 +472,11 @@ object HnswIndex {
   // raw-vector format ("LANS") are rejected, not searched with wrong distances.
   private val Magic = 0x4C4E5332
 
+  // A list entry's class in the heuristic pass that wrote the list.
+  private final val Unknown = -1
+  private final val Pruned  = 0
+  private final val Kept    = 1
+
   /** Per-layer shape of an index: `nodesPerLayer(l)` nodes reach layer `l`,
     * and no list on layer `l` is longer than `maxDegreePerLayer(l)`.
     */
@@ -482,6 +545,7 @@ object HnswIndex {
     var outDists    = new Array[Double](0)
     var tmpIds      = new Array[Int](0)
     var tmpDists    = new Array[Double](0)
+    var tmpPrior    = new Array[Int](0)
     var prunedIds   = new Array[Int](0)
     var prunedDists = new Array[Double](0)
 
@@ -497,7 +561,7 @@ object HnswIndex {
       outIds = new Array[Int](2 * k); outDists = new Array[Double](2 * k)
     }
     def ensureTmp(k: Int): Unit = if (tmpIds.length < k) {
-      tmpIds = new Array[Int](2 * k); tmpDists = new Array[Double](2 * k)
+      tmpIds = new Array[Int](2 * k); tmpDists = new Array[Double](2 * k); tmpPrior = new Array[Int](2 * k)
     }
     def ensurePruned(k: Int): Unit = if (prunedIds.length < k) {
       prunedIds = new Array[Int](2 * k); prunedDists = new Array[Double](2 * k)

@@ -8,10 +8,20 @@ import repro.core.TaggedRow
 import scala.collection.mutable
 
 /** The steps the build (§5.2), query (§5.3) and brute-force (§5.4) jobs
-  * share: executor slotting and checkpointed merging, plus the per-query
-  * top-K of brute force's final merge.
+  * share: input validation, executor slotting and checkpointed merging, plus
+  * the per-query top-K of brute force's final merge.
   */
 private[lanns] object Dataflow {
+
+  /** Rejects a vector an index cannot hold or score: one whose length is not
+    * `dim`, or with a NaN or ±Inf component. The error names it as
+    * `"$kind $key"` (e.g. "query qid 7", "row id 7").
+    */
+  def checkVector(kind: String, key: Long, vec: Array[Float], dim: Int): Unit = {
+    require(vec.length == dim, s"$kind $key has ${vec.length} components; the index has dim $dim")
+    val bad = vec.indexWhere(x => !java.lang.Float.isFinite(x))
+    require(bad < 0, s"$kind $key has non-finite component ${vec(bad)} at $bad")
+  }
 
   /** Pack tagged rows into `numExecutors` *slots* — range partitions over
     * `(shard·m + segment) mod E` — and run `perGroup` on each of a task's

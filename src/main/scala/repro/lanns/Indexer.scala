@@ -67,6 +67,9 @@ object Indexer {
     * @param numExecutors parallelism slots emulating the paper's executor
     *                     counts (Tables 2/5)
     * @return the metadata also persisted at `outDir/meta.bin`
+    * @throws IllegalArgumentException if numShards or numExecutors is below
+    *         1; a row whose length is not `dim` or that has a NaN or ±Inf
+    *         component fails the job with an error naming its id
     */
   def build(
       data: Dataset[VecRow],
@@ -87,6 +90,7 @@ object Indexer {
     val shards = numShards
 
     val tagged: Dataset[TaggedRow] = data.flatMap { r =>
+      Dataflow.checkVector("row id", r.id, r.vec, dim)
       val shard = Sharding.shardOf(r.id, shards)
       segB.value.routeData(r.id, r.vec).map(seg => TaggedRow(r.id, r.vec, shard, seg))
     }

@@ -61,7 +61,7 @@ object Querier {
     // Route: all shards × the segmenter's query segments (virtual spill).
     val dim = meta.dim
     val routed: Dataset[TaggedRow] = queries.flatMap { q =>
-      checkQuery(q, dim)
+      Dataflow.checkVector("query qid", q.qid, q.vec, dim)
       val segs = segB.value.routeQuery(q.vec)
       for {
         s <- 0 until shards
@@ -81,14 +81,6 @@ object Querier {
     }
 
     Dataflow.checkpointed(rawHits.toDF(), checkpointDir, "partial_hits")(mergeHits(_, kShard, topK))
-  }
-
-  /** Rejects a query the index cannot score, naming its qid. */
-  private def checkQuery(q: QueryRow, dim: Int): Unit = {
-    require(q.vec.length == dim,
-      s"query qid ${q.qid} has ${q.vec.length} components; the index has dim $dim")
-    val bad = q.vec.indexWhere(x => !java.lang.Float.isFinite(x))
-    require(bad < 0, s"query qid ${q.qid} has non-finite component ${q.vec(bad)} at $bad")
   }
 
   /** Two-level merge (§5.3): segment hits → per-shard top `kShard`

@@ -2,7 +2,7 @@ package repro.lanns
 
 import java.nio.file.Files
 import repro.{SparkSpec, VectorData}
-import repro.core.{Distance, HnswParams}
+import repro.core.{Distance, HnswParams, VecRow}
 import repro.segment.{RandomSegmenter, SegmenterLearner}
 
 class IndexerSpec extends SparkSpec {
@@ -117,6 +117,34 @@ class IndexerSpec extends SparkSpec {
       params, tmpDir(), 4)
     assert(meta.indexes.size === 1)
     assert(meta.totalCount === 1L)
+  }
+
+  /** Builds an index over `vecs` (the row with id 4242 is the bad one) and
+    * asserts that it fails with an error naming row id 4242.
+    */
+  private def assertRejects(vecs: Seq[(Long, Array[Float])]): Unit = {
+    import spark.implicits._
+    val data = vecs.map { case (id, v) => VecRow(id, v) }.toDS()
+    val e = intercept[Exception](Indexer.build(data, 8, 2, new RandomSegmenter(2), Distance.Euclidean,
+      params, tmpDir(), 2))
+    val chain = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+    assert(chain.exists(t => Option(t.getMessage).exists(_.contains("row id 4242"))), e)
+  }
+
+  private val good = Array.fill(8)(0.5f)
+
+  test("build rejects a row of the wrong dimension, naming its id") {
+    assertRejects(Seq(1L -> good, 4242L -> Array.fill(9)(0.5f)))
+    assertRejects(Seq(4242L -> Array.fill(7)(0.5f), 2L -> good))
+  }
+
+  test("build rejects a row with a NaN component, naming its id") {
+    assertRejects(Seq(1L -> good, 4242L -> good.updated(5, Float.NaN)))
+  }
+
+  test("build rejects a row with an infinite component, naming its id") {
+    assertRejects(Seq(1L -> good, 4242L -> good.updated(0, Float.PositiveInfinity)))
+    assertRejects(Seq(4242L -> good.updated(7, Float.NegativeInfinity)))
   }
 
   test("build times are recorded per index") {
