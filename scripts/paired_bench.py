@@ -18,13 +18,23 @@ side goes first (even pairs run the parent first). It writes, after every
 pair, a JSON file with each run's metrics and, per metric, the median and
 quartiles of each side and how many pairs the change won, lost or tied
 (the direction of "better" comes from BENCHMARK.json; metrics not listed
-there get no win counts). The exit code is non-zero if any run failed or
-reported "correct": false.
+there get no win counts).
+
+For every end-to-end metric of BENCHMARK.json the report also holds a
+verdict: how much worse the change's median is than the parent's, as a
+signed fraction of the parent's median (positive is worse), read against
+the metric's bound. It is "worse" when that exceeds the bound; otherwise
+"unresolved" when the parent's own spread (interquartile range over median)
+exceeds the bound and not every change run beats every parent run; otherwise
+"ok". Each run's progress line shows every end-to-end metric, and one
+verdict line per metric is printed at the end. The exit code is non-zero if
+any run failed or reported "correct": false.
 
 Standard library only.
 """
 import argparse
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -118,6 +128,34 @@ def summarize(runs, better):
     return out
 
 
+def verdicts(metrics, end_to_end):
+    """No-regression verdict of each end-to-end metric (see the module doc)."""
+    out = {}
+    for spec in end_to_end:
+        entry = metrics.get(spec["name"])
+        if entry is None:
+            continue
+        lower = spec["better"] == "lower"
+        p, c = entry["parent"], entry["change"]
+        base = abs(p["median"])
+        diff = c["median"] - p["median"] if lower else p["median"] - c["median"]
+        worse_by = diff / base if base else (0.0 if diff == 0 else math.copysign(math.inf, diff))
+        spread = (p["q3"] - p["q1"]) / base if base else 0.0
+        if lower:
+            all_beat = max(c["runs"]) < min(p["runs"])
+        else:
+            all_beat = min(c["runs"]) > max(p["runs"])
+        if worse_by > spec["bound"]:
+            verdict = "worse"
+        elif spread > spec["bound"] and not all_beat:
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
+        out[spec["name"]] = {"verdict": verdict, "worse_by": worse_by, "bound": spec["bound"],
+                             "parent_spread": spread, "every_change_run_better": all_beat}
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="commit-ish of the baseline")
@@ -142,6 +180,7 @@ def main():
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
+    end_to_end = spec.get("end_to_end", [])
 
     seeds = parse_seeds(args.seeds)
     runs = []
@@ -153,7 +192,7 @@ def main():
             pair[side] = run_once(checkouts[side], args, seed, log)
             m = pair[side].get("metrics", {})
             print(f"[paired_bench] seed {seed} {side}: correct={pair[side]['correct']} "
-                  + " ".join(f"{k}={m[k]:.4g}" for k in ("build_s", "query_qps", "recall_at_10") if k in m),
+                  + " ".join(f"{k}={m[k]:.4g}" for k in (e["name"] for e in end_to_end) if k in m),
                   file=sys.stderr, flush=True)
         runs.append(pair)
         report = {
@@ -168,7 +207,14 @@ def main():
             "metrics": summarize(runs, better),
             "runs": runs,
         }
+        report["verdicts"] = verdicts(report["metrics"], end_to_end)
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+
+    for name, v in report["verdicts"].items():
+        p, c = report["metrics"][name]["parent"], report["metrics"][name]["change"]
+        print(f"[paired_bench] {name}: {v['verdict']} (median {p['median']:.4g} -> {c['median']:.4g}, "
+              f"worse by {v['worse_by']:+.1%}, parent spread {v['parent_spread']:.1%}, "
+              f"bound {v['bound']:.0%})", file=sys.stderr, flush=True)
 
     if not all(r[side]["correct"] for r in runs for side in SIDES):
         sys.exit("[paired_bench] a run failed or reported \"correct\": false")

@@ -6,8 +6,9 @@ package repro.core
   */
 object BruteForce {
 
-  /** Exact top-`k` neighbors of `q` over `items`, sorted by ascending
-    * distance with ties broken by id. Uses a bounded max-heap, O(n log k).
+  /** Exact top-`k` distinct ids of `q` over `items`, sorted by ascending
+    * distance with ties broken by id. An id stored more than once counts
+    * once, at its nearest copy. Uses a bounded max-heap, O(n log k).
     */
   def topK(items: Iterable[(Long, Array[Float])], q: Array[Float], k: Int,
            distance: Distance): Array[Neighbor] = {
@@ -18,15 +19,19 @@ object BruteForce {
         val c = java.lang.Double.compare(b.dist, a.dist)
         if (c != 0) c else java.lang.Long.compare(b.id, a.id)
       })
+    val kept = scala.collection.mutable.LongMap.empty[Neighbor] // id -> its heap entry
     val it = items.iterator
     while (it.hasNext) {
       val (id, v) = it.next()
       val d = distance(q, v)
-      if (heap.size < k) heap.add(Neighbor(id, d))
-      else {
-        val worst = heap.peek()
-        if (d < worst.dist || (d == worst.dist && id < worst.id)) {
-          heap.poll(); heap.add(Neighbor(id, d))
+      val worst = if (heap.size < k) null else heap.peek()
+      if (worst == null || d < worst.dist || (d == worst.dist && id < worst.id)) {
+        val prev = kept.getOrNull(id)
+        if (prev == null || d < prev.dist) {
+          if (prev != null) heap.remove(prev) // a nearer copy replaces it
+          else if (worst != null) kept.remove(heap.poll().id)
+          val n = Neighbor(id, d)
+          heap.add(n); kept(id) = n
         }
       }
     }

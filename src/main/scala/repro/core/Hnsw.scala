@@ -24,8 +24,9 @@ final case class HnswParams(
   *
   * This is the per-(shard, segment) building block of LANNS: a multi-layer
   * proximity graph where each node gets a random maximum layer drawn from an
-  * exponential distribution with scale 1/ln(m). Insertion greedily descends
-  * from the entry point to the node's top layer, then runs a beam search of
+  * exponential distribution with scale 1/ln(m). Insertion descends from the
+  * entry point to the node's top layer by beam searches of width 1 (greedy
+  * descent, Algorithms 1 and 5 of the HNSW paper), then runs a beam search of
   * width `efConstruction` on each layer downward, connecting the node to
   * neighbors chosen by the select-neighbors *heuristic* (Algorithm 4 of the
   * HNSW paper: a candidate is kept only if it is closer to the base point
@@ -51,8 +52,10 @@ final case class HnswParams(
   * and still writes the list a full pass would write: entries ahead of the
   * new neighbor keep their class for free, and behind it only what the new
   * neighbor can change is re-checked (see [[selectHeuristic]]). The split is
-  * build-time state, not serialized: a list that grew by a plain append, or
-  * was loaded from a file, is unclassified (−1) until its next full pass.
+  * build-time state, not serialized: a list that grew by a plain append is
+  * unclassified (−1) until its next full pass. Neighbour distances exist
+  * only in a built index; one read from a file is read-only (LANNS builds
+  * each index once in a Spark task, then only searches it, §5.2–5.3).
   *
   * Thread safety: `add` needs a single owner, and no search may run while an
   * `add` is in progress (the LANNS indexer builds each index inside a single
@@ -89,8 +92,8 @@ final class HnswIndex private (
   private var splitU = new Array[Array[Int]](0)
   private var linksU = new Array[Array[Int]](0)
   private var distsU = new Array[Array[Double]](0)
-  // A loaded index leaves the distances uncomputed until its first add.
-  private var distsCached = true
+  // Set by readFrom: the index has no distances and rejects add.
+  private var loaded = false
 
   private var entry: Int    = -1
   private var topLevel: Int = -1
@@ -156,27 +159,6 @@ final class HnswIndex private (
   /** Distance of the prepared vector `q[qOff, qOff+dim)` to `node`. */
   private def dist(q: Array[Float], qOff: Int, node: Int): Double =
     distance.prepared(q, qOff, vecs, node * dim, dim)
-
-  /** Greedy descent: closest node to `q` on `layer` starting from `ep`. */
-  private def greedyClosest(q: Array[Float], qOff: Int, ep: Int, layer: Int): Int = {
-    var cur  = ep
-    var curD = dist(q, qOff, cur)
-    var improved = true
-    while (improved) {
-      improved = false
-      val arr = linkArr(cur, layer)
-      val off = linkOff(cur, layer)
-      val cnt = degree(cur, layer)
-      var i = 0
-      while (i < cnt) {
-        val nb = arr(off + i)
-        val d  = dist(q, qOff, nb)
-        if (d < curD) { cur = nb; curD = d; improved = true }
-        i += 1
-      }
-    }
-    cur
-  }
 
   /** Beam search of width `ef` on `layer`. Leaves at most `ef` candidates in
     * `s.outIds`/`s.outDists`, by ascending distance, and returns their count.
@@ -322,32 +304,11 @@ final class HnswIndex private (
     deg0   = java.util.Arrays.copyOf(deg0, cap)
     split0 = java.util.Arrays.copyOf(split0, cap)
     links0 = java.util.Arrays.copyOf(links0, cap * stride0)
-    if (distsCached) dists0 = java.util.Arrays.copyOf(dists0, cap * stride0)
+    if (!loaded) dists0 = java.util.Arrays.copyOf(dists0, cap * stride0)
     degU   = java.util.Arrays.copyOf(degU, cap)
     splitU = java.util.Arrays.copyOf(splitU, cap)
     linksU = java.util.Arrays.copyOf(linksU, cap)
     distsU = java.util.Arrays.copyOf(distsU, cap)
-  }
-
-  /** Score every stored link once, for an index loaded without distances. */
-  private def cacheDistances(): Unit = {
-    dists0 = new Array[Double](links0.length)
-    var i = 0
-    while (i < n) {
-      if (levels(i) > 0) distsU(i) = new Array[Double](levels(i) * strideU)
-      var l = 0
-      while (l <= levels(i)) {
-        val arr = linkArr(i, l); val dArr = distArr(i, l); val off = linkOff(i, l)
-        var t = 0
-        while (t < degree(i, l)) {
-          dArr(off + t) = distance.prepared(vecs, i * dim, vecs, arr(off + t) * dim, dim)
-          t += 1
-        }
-        l += 1
-      }
-      i += 1
-    }
-    distsCached = true
   }
 
   /** Allocate node `n` with the given id and level; the caller fills its vector. */
@@ -359,7 +320,7 @@ final class HnswIndex private (
       degU(node) = new Array[Int](level)
       splitU(node) = Array.fill(level)(Unknown)
       linksU(node) = new Array[Int](level * strideU)
-      if (distsCached) distsU(node) = new Array[Double](level * strideU)
+      if (!loaded) distsU(node) = new Array[Double](level * strideU)
     }
     n += 1
     node
@@ -367,10 +328,12 @@ final class HnswIndex private (
 
   /** Insert one vector. Duplicate external ids are allowed: each copy is
     * indexed as its own node, and a search can return both.
+    *
+    * @throws IllegalStateException on an index read from a file
     */
   def add(id: Long, v: Array[Float]): Unit = {
+    if (loaded) throw new IllegalStateException("an index read from a file is read-only")
     require(v.length == dim, s"vector dim ${v.length} != index dim $dim")
-    if (!distsCached) cacheDistances()
     val level = math.floor(-math.log(rng.nextDouble() + 1e-300) * mL).toInt
     val node  = appendNode(id, level)
     val qOff  = node * dim
@@ -381,7 +344,7 @@ final class HnswIndex private (
     val s  = scratch.get()
     var ep = entry
     var l  = topLevel
-    while (l > level) { ep = greedyClosest(vecs, qOff, ep, l); l -= 1 }
+    while (l > level) { searchLayer(vecs, qOff, ep, 1, l, s); ep = s.outIds(0); l -= 1 }
 
     l = math.min(level, topLevel)
     while (l >= 0) {
@@ -413,7 +376,7 @@ final class HnswIndex private (
     val s  = scratch.get()
     var ep = entry
     var l  = topLevel
-    while (l > 0) { ep = greedyClosest(qp, 0, ep, l); l -= 1 }
+    while (l > 0) { searchLayer(qp, 0, ep, 1, l, s); ep = s.outIds(0); l -= 1 }
     val found = searchLayer(qp, 0, ep, beam, 0, s)
     val out = new Array[Neighbor](found)
     var i = 0
@@ -582,7 +545,11 @@ object HnswIndex {
     idx
   }
 
-  /** Deserialize an index previously written with [[HnswIndex.writeTo]]. */
+  /** Deserialize a read-only index written with [[HnswIndex.writeTo]].
+    * Throws `IllegalArgumentException` on a bad magic or header, a node above
+    * the top level, an entry point below it, or a link out of the index or
+    * below its layer.
+    */
   def readFrom(in: DataInputStream): HnswIndex = {
     val magic = in.readInt()
     require(magic == Magic, f"bad index file magic 0x$magic%08x (expected 0x$Magic%08x)")
@@ -591,17 +558,20 @@ object HnswIndex {
     val params = HnswParams(in.readInt(), in.readInt(), in.readInt(), in.readLong())
     val n = in.readInt(); val entry = in.readInt(); val top = in.readInt()
     require(dim >= 0 && n >= 0, s"bad index header: dim $dim, size $n")
+    if (n == 0) require(entry == -1 && top == -1, s"bad index header: size 0, entry $entry, top level $top")
+    else require(entry >= 0 && entry < n, s"bad index header: entry $entry of $n nodes")
     val idx = new HnswIndex(dim, dist, params)
     idx.entry = entry; idx.topLevel = top
-    idx.distsCached = false
+    idx.loaded = true
     idx.reserve(n)
     val bytes = new Array[Byte](4 * math.max(dim, idx.stride0))
     val buf = ByteBuffer.wrap(bytes)
+    val linkedOn = Array.fill(n)(-1) // the highest layer on which a node is linked to
     var i = 0
     while (i < n) {
       val id    = in.readLong()
       val level = in.readInt()
-      require(level >= 0, s"bad level $level of node $i")
+      require(level >= 0 && level <= top, s"bad level $level of node $i (top level $top)")
       val node = idx.appendNode(id, level)
       in.readFully(bytes, 0, 4 * dim)
       buf.clear()
@@ -615,10 +585,20 @@ object HnswIndex {
         buf.clear()
         val arr = idx.linkArr(node, l); val off = idx.linkOff(node, l)
         var t = 0
-        while (t < cnt) { arr(off + t) = buf.getInt(); t += 1 }
+        while (t < cnt) {
+          val nb = buf.getInt()
+          require(nb >= 0 && nb < n, s"node $i on layer $l links to node $nb of $n")
+          arr(off + t) = nb; linkedOn(nb) = math.max(linkedOn(nb), l); t += 1
+        }
         idx.setDegree(node, l, cnt)
         l += 1
       }
+      i += 1
+    }
+    if (n > 0) require(idx.levels(entry) == top, s"entry $entry has level ${idx.levels(entry)}, not the top level $top")
+    i = 0
+    while (i < n) {
+      require(linkedOn(i) <= idx.levels(i), s"node $i of level ${idx.levels(i)} is linked to on layer ${linkedOn(i)}")
       i += 1
     }
     idx

@@ -2,14 +2,12 @@ package repro.lanns
 
 import java.io.File
 import org.apache.spark.sql.{DataFrame, Dataset, Encoder}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions.{col, expr, row_number}
+import org.apache.spark.sql.functions.expr
 import repro.core.TaggedRow
 import scala.collection.mutable
 
 /** The steps the build (§5.2), query (§5.3) and brute-force (§5.4) jobs
-  * share: input validation, executor slotting and checkpointed merging, plus
-  * the per-query top-K of brute force's final merge.
+  * share: input validation, executor slotting and checkpointed merging.
   */
 private[lanns] object Dataflow {
 
@@ -65,15 +63,4 @@ private[lanns] object Dataflow {
     if (f.isDirectory) f.listFiles().foreach(deleteTree)
     f.delete(); ()
   }
-
-  /** Rank each query's rows by (dist, id) and keep ranks 1..k.
-    *
-    * @param df DataFrame with columns (qid, id, dist)
-    * @return DataFrame (qid, id, dist, rank)
-    */
-  def topKPerQuery(df: DataFrame, k: Int): DataFrame =
-    df.withColumn("rank",
-        row_number().over(Window.partitionBy("qid").orderBy(col("dist"), col("id"))))
-      .filter(col("rank") <= k)
-      .select("qid", "id", "dist", "rank")
 }

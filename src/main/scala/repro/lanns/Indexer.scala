@@ -1,7 +1,8 @@
 package repro.lanns
 
-import java.io.{BufferedOutputStream, DataOutputStream, FileOutputStream,
-                ObjectInputStream, ObjectOutputStream, FileInputStream, File}
+import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream, File,
+                FileInputStream, FileOutputStream, IOException, InputStream, ObjectInputStream,
+                ObjectOutputStream}
 import org.apache.spark.sql.Dataset
 import repro.core.{Distance, HnswIndex, HnswParams, IndexMeta, TaggedRow, VecRow}
 import repro.segment.Segmenter
@@ -30,12 +31,10 @@ object LannsMeta {
   /** Metadata file name inside an index directory. */
   val FileName = "meta.bin"
 
-  /** Read the metadata written by [[Indexer.build]]. */
-  def read(indexDir: String): LannsMeta = {
-    val in = new ObjectInputStream(new FileInputStream(new File(indexDir, FileName)))
-    try in.readObject().asInstanceOf[LannsMeta]
-    finally in.close()
-  }
+  /** Read the metadata written by [[Indexer.build]]; a failure names the file. */
+  def read(indexDir: String): LannsMeta =
+    Indexer.readFile(new File(indexDir, FileName).getPath, "index metadata")(
+      new ObjectInputStream(_).readObject().asInstanceOf[LannsMeta])
 
   /** Persist metadata from the driver (§5.2: "the associated metadata and
     * segmenter information is coupled with the index and written from the
@@ -87,22 +86,18 @@ object Indexer {
 
     val nSeg = segmenter.numSegments
     val segB = spark.sparkContext.broadcast(segmenter)
-    val shards = numShards
 
     val tagged: Dataset[TaggedRow] = data.flatMap { r =>
       Dataflow.checkVector("row id", r.id, r.vec, dim)
-      val shard = Sharding.shardOf(r.id, shards)
+      val shard = Sharding.shardOf(r.id, numShards)
       segB.value.routeData(r.id, r.vec).map(seg => TaggedRow(r.id, r.vec, shard, seg))
     }
 
-    val dist = distance
-    val p = params
-    val dir = outDir
     val metas: Array[IndexMeta] = Dataflow.bySlot(tagged, nSeg, numExecutors) {
       case ((s, g), rows) =>
         val t0 = System.nanoTime()
-        val idx = HnswIndex.build(dim, dist, p, rows.iterator)
-        val path = indexPath(dir, s, g)
+        val idx = HnswIndex.build(dim, distance, params, rows.iterator)
+        val path = indexPath(outDir, s, g)
         writeIndexFile(idx, path)
         Iterator.single(IndexMeta(s, g, rows.length.toLong, path, (System.nanoTime() - t0) / 1000000L))
     }.collect()
@@ -131,12 +126,17 @@ object Indexer {
     * is rethrown as an `IOException` that names `path`.
     */
   def readIndexFile(path: String): HnswIndex =
+    readFile(path, "index file")(in => HnswIndex.readFrom(new DataInputStream(in)))
+
+  /** `read` applied to the file at `path`, rethrowing any failure as an
+    * `IOException` that names the file as `"$what $path"`.
+    */
+  private[lanns] def readFile[A](path: String, what: String)(read: InputStream => A): A =
     try {
-      val in = new java.io.DataInputStream(
-        new java.io.BufferedInputStream(new java.io.FileInputStream(path)))
-      try HnswIndex.readFrom(in)
+      val in = new BufferedInputStream(new FileInputStream(path))
+      try read(in)
       finally in.close()
     } catch {
-      case e: Exception => throw new java.io.IOException(s"cannot load index file $path: ${e.getMessage}", e)
+      case e: Exception => throw new IOException(s"cannot load $what $path: ${e.getMessage}", e)
     }
 }

@@ -24,7 +24,7 @@ object Querier {
     * paths inside it.
     *
     * @param topK        neighbors per query in the final result
-    * @param efSearch    HNSW beam width (clamped up to the per-shard k)
+    * @param efSearch    HNSW beam width (an index search widens it to the per-shard k)
     * @param confidence  topK.confidence for the perShardTopK reduction;
     *                    None disables it (each shard returns topK)
     * @param numExecutors parallelism slots emulating executor counts
@@ -70,13 +70,11 @@ object Querier {
       } yield TaggedRow(q.qid, q.vec, s, g)
     }
 
-    val ef = math.max(efSearch, kShard)
-    val kPartial = kShard
     val rawHits: Dataset[Hit] = Dataflow.bySlot(routed, nSeg, numExecutors) {
       case ((s, g), qs) =>
         val idx = Indexer.readIndexFile(pathsB.value((s, g)))
         qs.iterator.flatMap { case (qid, vec) =>
-          idx.search(vec, kPartial, ef).iterator.map(n => Hit(qid, s, g, n.id, n.dist))
+          idx.search(vec, kShard, efSearch).iterator.map(n => Hit(qid, s, g, n.id, n.dist))
         }
     }
 

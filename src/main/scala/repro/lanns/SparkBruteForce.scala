@@ -8,17 +8,19 @@ import repro.core.{BruteForce, Distance, Hit, QueryRow, VecRow}
   * implementation of brute-force search").
   *
   * The dataset is split across `numPartitions` tasks; the (reasonably
-  * small) query set is broadcast whole into every task, which computes an
-  * exact per-partition top-K with a bounded heap. Partial results can be
+  * small) query set is broadcast whole into every task, which keeps the k
+  * nearest distinct ids of its partition ([[BruteForce.topK]]: an id stored
+  * twice takes one slot, at its nearest copy). Partial results can be
   * written to the HDFS substitute and reloaded (as in Figure 8) before the
-  * final per-query merge — a Catalyst `Window` over the query id.
+  * final per-query merge, [[Querier.mergeHits]] with every hit on shard 0:
+  * like the querier, it returns an id once per query, at its nearest copy.
   */
 object SparkBruteForce {
 
   /** Exact top-`k` for each query.
     *
     * @return DataFrame (qid, id, dist, rank), rank 1..k by ascending
-    *         distance, ties by id
+    *         distance, ties by id; each id at most once per query
     */
   def search(
       data: Dataset[VecRow],
@@ -33,8 +35,6 @@ object SparkBruteForce {
 
     val qArr = queries.collect()
     val qB = spark.sparkContext.broadcast(qArr)
-    val dist = distance
-    val kk = k
 
     val partials: Dataset[Hit] = data
       .repartition(numPartitions)
@@ -42,12 +42,12 @@ object SparkBruteForce {
         val items = it.map(r => (r.id, r.vec)).toArray
         if (items.isEmpty) Iterator.empty
         else qB.value.iterator.flatMap { q =>
-          BruteForce.topK(items, q.vec, kk, dist).iterator
+          BruteForce.topK(items, q.vec, k, distance).iterator
             .map(n => Hit(q.qid, 0, 0, n.id, n.dist))
         }
       }
 
     Dataflow.checkpointed(partials.toDF(), checkpointDir, "bf_partials")(
-      Dataflow.topKPerQuery(_, kk))
+      Querier.mergeHits(_, k, k))
   }
 }

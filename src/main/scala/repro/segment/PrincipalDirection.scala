@@ -1,18 +1,14 @@
 package repro.segment
 
-import org.apache.spark.sql.Dataset
-import repro.core.VecRow
-
 /** Approximate principal directions for the APD segmenter (§4.3.3).
   *
   * The paper sets A = D·Dᵀ (similarity graph), whose second-largest
   * eigenvector approximates the sparsest cut; the queryable hyperplane is
   * the corresponding **second-largest right singular vector of D**, i.e.
   * the second eigenvector of the d×d Gram matrix G = Dᵀ·D. The paper uses
-  * Spark MLlib's SVD; offline we substitute an explicit Gram computation
-  * (a Spark `treeAggregate` for DataFrames, a plain loop for driver-side
-  * samples) followed by power iteration with deflation — equivalent for the
-  * top-2 spectrum and fully unit-testable.
+  * Spark MLlib's SVD; offline we substitute the Gram matrix of the
+  * driver-side sample the learner draws, followed by power iteration with
+  * deflation — equivalent for the top-2 spectrum and fully unit-testable.
   */
 object PrincipalDirection {
 
@@ -39,42 +35,6 @@ object PrincipalDirection {
       i += 1
     }
     g
-  }
-
-  /** Distributed Gram matrix over a vector Dataset — the path a full-scale
-    * deployment uses (the sample never needs to fit on the driver; only the
-    * per-partition d×d Gram partials do). Each partition reduces to one
-    * flattened d² accumulator via `mapPartitions`; partials are summed on
-    * the driver.
-    */
-  def gramSpark(data: Dataset[VecRow], dim: Int): Array[Array[Double]] = {
-    import data.sparkSession.implicits._
-    val d = dim
-    val partials = data
-      .mapPartitions { it =>
-        val acc = new Array[Double](d * d)
-        var any = false
-        it.foreach { row =>
-          val v = row.vec
-          require(v.length == d, s"row dim ${v.length} != $d")
-          any = true
-          var i = 0
-          while (i < d) {
-            val vi = v(i).toDouble
-            var j = 0
-            while (j < d) { acc(i * d + j) += vi * v(j); j += 1 }
-            i += 1
-          }
-        }
-        if (any) Iterator.single(acc) else Iterator.empty
-      }
-      .collect()
-    val flat = new Array[Double](dim * dim)
-    partials.foreach { p =>
-      var i = 0
-      while (i < flat.length) { flat(i) += p(i); i += 1 }
-    }
-    Array.tabulate(dim, dim)((i, j) => flat(i * dim + j))
   }
 
   /** Top-`k` eigenvectors of a symmetric PSD matrix by power iteration with

@@ -42,14 +42,20 @@ class BruteForceSpec extends AnyFunSuite {
 
   test("matches a naive full sort on random data") {
     val rng = new java.util.Random(7)
-    val data = (0L until 500L).map(i => i -> Array.fill(6)(rng.nextFloat()))
-    val q = Array.fill(6)(rng.nextFloat())
-    val naive = data
-      .map { case (id, v) => Neighbor(id, Distance.Euclidean(q, v)) }
-      .sortBy(n => (n.dist, n.id))
-      .take(20)
-    val fast = BruteForce.topK(data, q, 20, Distance.Euclidean).toSeq
-    assert(fast === naive)
+    // 500 distinct ids, then 500 rows over 150 ids: an id stored more than
+    // once counts once, at its nearest copy
+    for (data <- Seq((0L until 500L).map(i => i -> Array.fill(6)(rng.nextFloat())),
+                     (0 until 500).map(_ => rng.nextInt(150).toLong -> Array.fill(6)(rng.nextFloat())));
+         k <- Seq(1, 20, 60)) {
+      val q = Array.fill(6)(rng.nextFloat())
+      val naive = data
+        .map { case (id, v) => Neighbor(id, Distance.Euclidean(q, v)) }
+        .groupBy(_.id).values.map(_.minBy(_.dist)).toSeq
+        .sortBy(n => (n.dist, n.id))
+        .take(k)
+      val fast = BruteForce.topK(data, q, k, Distance.Euclidean).toSeq
+      assert(fast === naive)
+    }
   }
 
   test("works with cosine distance") {

@@ -62,6 +62,27 @@ class IndexerSpec extends SparkSpec {
     assert(e.getMessage.contains(path.toString), e.getMessage)
   }
 
+  test("a truncated index file fails to load, naming its path") {
+    val idx = repro.core.HnswIndex.build(3, Distance.Euclidean, params,
+      (0 until 50).iterator.map(i => i.toLong -> Array(i.toFloat, 0f, 1f)))
+    val bytes = idx.toBytes
+    val path = Files.createTempDirectory("lanns-torn").resolve("segment_0.hnsw")
+    Files.write(path, java.util.Arrays.copyOf(bytes, bytes.length - 5))
+    val e = intercept[java.io.IOException](Indexer.readIndexFile(path.toString))
+    assert(e.getMessage.contains(path.toString), e.getMessage)
+  }
+
+  test("a truncated meta file fails to load, naming its path") {
+    val data = VectorData.clustered(spark, 200, 8, 4, seed = 11L)
+    val dir = tmpDir()
+    Indexer.build(data, 8, 1, new RandomSegmenter(2), Distance.Euclidean, params, dir, 2)
+    val path = java.nio.file.Paths.get(dir, LannsMeta.FileName)
+    val bytes = Files.readAllBytes(path)
+    Files.write(path, java.util.Arrays.copyOf(bytes, bytes.length / 2))
+    val e = intercept[java.io.IOException](LannsMeta.read(dir))
+    assert(e.getMessage.contains(path.toString), e.getMessage)
+  }
+
   test("metadata round-trips through the driver-written meta file") {
     val data = VectorData.clustered(spark, 300, 8, 4, seed = 5L)
     val dir = tmpDir()

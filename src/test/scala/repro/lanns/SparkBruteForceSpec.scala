@@ -9,29 +9,34 @@ class SparkBruteForceSpec extends SparkSpec {
   test("matches the DuckDB oracle on integer vectors") {
     import spark.implicits._
     val rng = new java.util.Random(1L)
-    val data = (0 until 40).map(i => (i.toLong, rng.nextInt(10), rng.nextInt(10), rng.nextInt(10)))
-    val qs = (100 until 105).map(i => (i.toLong, rng.nextInt(10), rng.nextInt(10), rng.nextInt(10)))
+    val rows = (0 until 40).map(i => (i.toLong, rng.nextInt(10), rng.nextInt(10), rng.nextInt(10)))
+    // Ids 0..4 get a second vector one step away, and a query sits on each
+    // first copy: both copies are near it, but the id is returned once.
+    val data = rows ++ rows.take(5).map { case (id, a, b, c) => (id, a, b, c + 1) }
+    val qs = rows.take(5).map { case (id, a, b, c) => (100 + id, a, b, c) } ++
+      (105 until 110).map(i => (i.toLong, rng.nextInt(10), rng.nextInt(10), rng.nextInt(10)))
 
     val dataDs = spark.createDataset(data.map { case (id, a, b, c) =>
       VecRow(id, Array(a.toFloat, b.toFloat, c.toFloat)) })
     val queryDs = spark.createDataset(qs.map { case (id, a, b, c) =>
       QueryRow(id, Array(a.toFloat, b.toFloat, c.toFloat)) })
 
-    val res = SparkBruteForce.search(dataDs, queryDs, k = 3, Distance.Euclidean, numPartitions = 4)
-
     val dataDf = data.toDF("id", "x0", "x1", "x2")
     val queryDf = qs.toDF("qid", "x0", "x1", "x2")
     val distExpr = (0 to 2).map(i =>
       s"(CAST(q.x$i AS DOUBLE)-CAST(d.x$i AS DOUBLE))*(CAST(q.x$i AS DOUBLE)-CAST(d.x$i AS DOUBLE))"
     ).mkString(" + ")
-    Oracle.assertEquivalent(
-      res.select("qid", "id", "dist", "rank"),
+    // one partition holds both copies of an id; four split them up
+    for (parts <- Seq(1, 4)) Oracle.assertEquivalent(
+      SparkBruteForce.search(dataDs, queryDs, k = 3, Distance.Euclidean, parts)
+        .select("qid", "id", "dist", "rank"),
       s"""SELECT qid, id, dist, rank FROM (
          |  SELECT qid, id, dist,
          |         row_number() OVER (PARTITION BY qid ORDER BY dist, id) AS rank
          |  FROM (SELECT CAST(q.qid AS BIGINT) AS qid, CAST(d.id AS BIGINT) AS id,
-         |               $distExpr AS dist
-         |        FROM qs q CROSS JOIN ds d))
+         |               MIN($distExpr) AS dist
+         |        FROM qs q CROSS JOIN ds d
+         |        GROUP BY q.qid, d.id))
          |WHERE rank <= 3""".stripMargin,
       "ds" -> dataDf, "qs" -> queryDf,
     )

@@ -1,8 +1,6 @@
 package repro.segment
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
-import repro.VectorData
 
 class PrincipalDirectionSpec extends AnyFunSuite {
 
@@ -84,25 +82,5 @@ class PrincipalDirectionSpec extends AnyFunSuite {
     val a = PrincipalDirection.topEigenvectors(g, 2, seed = 9L)
     val b = PrincipalDirection.topEigenvectors(g, 2, seed = 9L)
     assert(a.map(_.toSeq).toSeq === b.map(_.toSeq).toSeq)
-  }
-}
-
-/** The distributed Gram path used at full scale (Spark treeAggregate). */
-class PrincipalDirectionSparkSpec extends SparkSpec {
-
-  test("gramSpark equals gramLocal on the same data") {
-    val ds = VectorData.clustered(spark, 500, 6, nClusters = 4, seed = 5L)
-    val local = PrincipalDirection.gramLocal(ds.collect().map(_.vec).toSeq, 6)
-    val dist = PrincipalDirection.gramSpark(ds, 6)
-    for (i <- 0 until 6; j <- 0 until 6)
-      assert(math.abs(local(i)(j) - dist(i)(j)) < 1e-4,
-        s"gram mismatch at ($i,$j): ${local(i)(j)} vs ${dist(i)(j)}")
-  }
-
-  test("gramSpark of an empty dataset is the zero matrix") {
-    import spark.implicits._
-    val empty = spark.emptyDataset[repro.core.VecRow]
-    val g = PrincipalDirection.gramSpark(empty, 3)
-    assert(g.flatten.forall(_ == 0.0))
   }
 }
