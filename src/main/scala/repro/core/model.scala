@@ -24,6 +24,13 @@ final case class TaggedRow(key: Long, vec: Array[Float], shard: Int, segment: In
 /** One partial search result produced inside an executor. */
 final case class Hit(qid: Long, shard: Int, segment: Int, id: Long, dist: Double)
 
+/** One partial top-k list produced inside an executor: the neighbours one
+  * task found for query `qid` in one (shard, segment) group or one data
+  * partition, `ids(i)` at distance `dists(i)`. The merge reads a list as the
+  * hits (qid, shard, id, dist) it holds.
+  */
+final case class HitList(qid: Long, shard: Int, ids: Array[Long], dists: Array[Double])
+
 /** One row of a merged query result: `id` is the `rank`-th nearest
   * neighbour of query `qid`, at distance `dist`.
   */

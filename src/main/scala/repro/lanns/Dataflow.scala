@@ -11,12 +11,12 @@ import scala.collection.mutable
   */
 private[lanns] object Dataflow {
 
-  /** Rejects a vector an index cannot hold or score: one whose length is not
-    * `dim`, or with a NaN or ±Inf component. The error names it as
-    * `"$kind $key"` (e.g. "query qid 7", "row id 7").
+  /** Rejects a vector an index or brute force cannot score: one whose
+    * length is not `dim`, or with a NaN or ±Inf component. The error names
+    * it as `"$kind $key"` (e.g. "query qid 7", "row id 7").
     */
   def checkVector(kind: String, key: Long, vec: Array[Float], dim: Int): Unit = {
-    require(vec.length == dim, s"$kind $key has ${vec.length} components; the index has dim $dim")
+    require(vec.length == dim, s"$kind $key has ${vec.length} components, expected $dim")
     val bad = vec.indexWhere(x => !java.lang.Float.isFinite(x))
     require(bad < 0, s"$kind $key has non-finite component ${vec(bad)} at $bad")
   }

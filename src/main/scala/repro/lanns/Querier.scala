@@ -1,18 +1,20 @@
 package repro.lanns
 
 import org.apache.spark.sql.{DataFrame, Dataset}
-import repro.core.{Hit, QueryRow, RankedHit, TaggedRow}
+import org.apache.spark.sql.functions.{array, col}
+import repro.core.{HitList, QueryRow, RankedHit, TaggedRow}
 import scala.collection.mutable
 
 /** Distributed querying over a two-level partitioned index (§5.3, Figure 7).
   *
   * Queries are routed (every shard; the segmenter's virtual-spill segment
   * set) and packed into executor slots like the indexer. Each task loads its
-  * (shard, segment) index once, runs partial HNSW searches, and emits
-  * per-segment hits. Merging is two-level, mirroring the online system:
-  * segment hits merge *within* a shard first (keeping the perShardTopK best,
-  * §5.3.2), then shard results merge globally to the final topK. Both levels
-  * run in one pass per query, after at most one shuffle of the hits by qid.
+  * (shard, segment) index once, runs partial HNSW searches, and emits one
+  * [[HitList]] per (query, routed group). Merging is two-level, mirroring
+  * the online system: segment hits merge *within* a shard first (keeping
+  * the perShardTopK best, §5.3.2), then shard results merge globally to the
+  * final topK. Both levels run in one pass per query, after at most one
+  * shuffle of the lists by qid.
   *
   * Partial results can be checkpointed to a temporary directory between
   * stages (§5.3.1's defense against cascading executor time-outs); pass
@@ -70,34 +72,46 @@ object Querier {
       } yield TaggedRow(q.qid, q.vec, s, g)
     }
 
-    val rawHits: Dataset[Hit] = Dataflow.bySlot(routed, nSeg, numExecutors) {
+    val lists: Dataset[HitList] = Dataflow.bySlot(routed, nSeg, numExecutors) {
       case ((s, g), qs) =>
         val idx = Indexer.readIndexFile(pathsB.value((s, g)))
-        qs.iterator.flatMap { case (qid, vec) =>
-          idx.search(vec, kShard, efSearch).iterator.map(n => Hit(qid, s, g, n.id, n.dist))
+        qs.iterator.map { case (qid, vec) =>
+          val found = idx.search(vec, kShard, efSearch)
+          HitList(qid, s, found.map(_.id), found.map(_.dist))
         }
     }
 
-    Dataflow.checkpointed(rawHits.toDF(), checkpointDir, "partial_hits")(mergeHits(_, kShard, topK))
+    Dataflow.checkpointed(lists.toDF(), checkpointDir, "partial_hits")(mergeLists(_, kShard, topK))
   }
+
+  /** The two-level merge of [[mergeLists]] for callers that hold one row
+    * per hit: each hit becomes a one-element list, in one projection with no
+    * shuffle, so the result is exactly the list merge's on the same hits.
+    *
+    * @param hits DataFrame with columns (qid, shard, id, dist), e.g. [[repro.core.Hit]] rows
+    * @return DataFrame (qid, id, dist, rank)
+    */
+  def mergeHits(hits: DataFrame, kShard: Int, topK: Int): DataFrame =
+    mergeLists(hits.select(col("qid"), col("shard"),
+      array(col("id")).as("ids"), array(col("dist")).as("dists")), kShard, topK)
 
   /** Two-level merge (§5.3): segment hits → per-shard top `kShard`
     * (deduplicating ids that physical spill stored in several segments),
     * then shard results → global top `topK`, in one pass per query over
-    * its hits ([[QueryHits]]). Hits are grouped by qid: one shuffle, or none
-    * when they already sit in one partition, and a sort on qid.
+    * its hits ([[QueryHits]]). Lists are grouped by qid: one shuffle, or
+    * none when they already sit in one partition, and a sort on qid.
     * Distances order as in Spark SQL (-0.0 equals 0.0, NaN after every
     * number), ties by ascending id. Ids are not deduplicated across shards.
     *
-    * @param hits DataFrame with columns (qid, shard, segment, id, dist)
+    * @param lists DataFrame of [[HitList]] rows (qid, shard, ids, dists)
     * @return DataFrame (qid, id, dist, rank)
     */
-  def mergeHits(hits: DataFrame, kShard: Int, topK: Int): DataFrame = {
-    import hits.sparkSession.implicits._
-    hits.groupBy("qid").as[Long, Hit]
-      .flatMapGroups { (qid, qHits) =>
+  private[lanns] def mergeLists(lists: DataFrame, kShard: Int, topK: Int): DataFrame = {
+    import lists.sparkSession.implicits._
+    lists.groupBy("qid").as[Long, HitList]
+      .flatMapGroups { (qid, qLists) =>
         val q = new QueryHits
-        qHits.foreach(q.add)
+        qLists.foreach(q.add)
         q.merge(qid, kShard, topK)
       }
       .toDF()
@@ -111,15 +125,19 @@ object Querier {
     private var id = new Array[Long](16)
     private var dist = new Array[Double](16)
 
-    def add(h: Hit): Unit = {
-      if (n == id.length) {
-        shard = java.util.Arrays.copyOf(shard, 2 * n)
-        id = java.util.Arrays.copyOf(id, 2 * n)
-        dist = java.util.Arrays.copyOf(dist, 2 * n)
+    def add(l: HitList): Unit = {
+      val m = l.ids.length
+      if (n + m > id.length) {
+        val cap = math.max(2 * id.length, n + m)
+        shard = java.util.Arrays.copyOf(shard, cap)
+        id = java.util.Arrays.copyOf(id, cap)
+        dist = java.util.Arrays.copyOf(dist, cap)
       }
-      shard(n) = h.shard; id(n) = h.id; dist(n) = h.dist
-      shards = math.max(shards, h.shard + 1)
-      n += 1
+      java.util.Arrays.fill(shard, n, n + m, l.shard)
+      System.arraycopy(l.ids, 0, id, n, m)
+      System.arraycopy(l.dists, 0, dist, n, m)
+      shards = math.max(shards, l.shard + 1)
+      n += m
     }
 
     /** Walks the hits in (dist, id) order. The first copy of a (shard, id)

@@ -58,6 +58,45 @@ class BruteForceSpec extends AnyFunSuite {
     }
   }
 
+  /** Every (row, query) pair scored with `distance.apply`, each id at its
+    * nearest copy, fully sorted by (dist, id), cut at `k`.
+    */
+  private def naive(ids: Array[Long], rows: Array[Array[Float]], q: Array[Float], k: Int,
+                    distance: Distance): Seq[Neighbor] =
+    ids.indices.map(r => Neighbor(ids(r), distance(q, rows(r))))
+      .groupBy(_.id).values.map(_.minBy(_.dist)).toSeq
+      .sortBy(n => (n.dist, n.id))
+      .take(k)
+
+  test("the blocked kernel equals a naive full sort, distances bit for bit") {
+    val rng = new java.util.Random(11)
+    def gauss(dim: Int) = Array.fill(dim)(rng.nextGaussian().toFloat)
+    val dim = 13
+    for (distance <- Seq(Distance.Euclidean, Distance.Cosine); nq <- Seq(1, 7, 8, 9, 17)) {
+      // 240 rows over 160 ids: ids repeat next to each other and far apart
+      val ids = Array.tabulate(240)(r => if (r % 40 == 1) r - 1L else rng.nextInt(160).toLong)
+      val rows = Array.fill(240)(gauss(dim))
+      ids(7) = 1000L; rows(7) = new Array[Float](dim) // a zero row, its id unique
+      // a zero query, and one query repeated inside a block and across blocks
+      val qs = Array.tabulate(nq)(i => if (i == 0) new Array[Float](dim) else gauss(dim))
+      if (nq > 3) qs(3) = qs(1)
+      if (nq > 9) qs(9) = qs(1)
+      val flat = rows.flatten
+      for (k <- Seq(1, 10, 300)) { // 300 > rows
+        val got = BruteForce.topK(ids, flat, dim, qs, k, distance)
+        assert(got.length === nq)
+        qs.indices.foreach { i =>
+          assert(got(i).toSeq === naive(ids, rows, qs(i), k, distance), s"$distance nq $nq k $k query $i")
+        }
+        if (distance == Distance.Cosine) {
+          assert(got(0).forall(_.dist == 1.0), "a zero query is at distance 1 from every row")
+          if (k == 300) assert(got.forall(_.find(_.id == 1000L).get.dist == 1.0),
+            "the zero row is at distance 1 from every query")
+        }
+      }
+    }
+  }
+
   test("works with cosine distance") {
     val data = pts(1L -> Array(1f, 0f), 2L -> Array(0f, 1f), 3L -> Array(0.9f, 0.1f))
     val r = BruteForce.topK(data, Array(1f, 0f), 2, Distance.Cosine)

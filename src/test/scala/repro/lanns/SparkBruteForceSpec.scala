@@ -42,6 +42,44 @@ class SparkBruteForceSpec extends SparkSpec {
     )
   }
 
+  /** Runs brute force over four rows and two queries, `badRow` as the
+    * vector of row id 4242 or `badQuery` as that of query qid 4242, and
+    * asserts that the failure names `name`.
+    */
+  private def assertRejects(badRow: Option[Array[Float]], badQuery: Option[Array[Float]],
+                            name: String): Unit = {
+    import spark.implicits._
+    val good = Array(0.5f, 1f, 2f)
+    val data = ((1L to 3L).map(VecRow(_, good)) :+ VecRow(4242L, badRow.getOrElse(good))).toDS()
+    val queries = Seq(QueryRow(1L, good), QueryRow(4242L, badQuery.getOrElse(good))).toDS()
+    val e = intercept[Exception](SparkBruteForce.search(data, queries, 2, Distance.Euclidean, 2).collect())
+    val chain = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+    assert(chain.exists(t => Option(t.getMessage).exists(_.contains(name))), e)
+  }
+
+  test("rejects a row longer than the queries, naming its id") {
+    assertRejects(Some(Array(0.5f, 1f, 2f, 3f)), None, "row id 4242")
+  }
+
+  test("rejects a row shorter than the queries, naming its id") {
+    assertRejects(Some(Array(0.5f, 1f)), None, "row id 4242")
+  }
+
+  test("rejects a row with a NaN component, naming its id") {
+    assertRejects(Some(Array(0.5f, Float.NaN, 2f)), None, "row id 4242")
+  }
+
+  test("rejects a query of another length than the first, naming its qid") {
+    assertRejects(None, Some(Array(0.5f, 1f)), "query qid 4242")
+  }
+
+  test("rejects k below 1") {
+    import spark.implicits._
+    val data = Seq(VecRow(1L, Array(0f))).toDS()
+    val queries = Seq(QueryRow(9L, Array(0f))).toDS()
+    intercept[IllegalArgumentException](SparkBruteForce.search(data, queries, 0, Distance.Euclidean, 1))
+  }
+
   test("agrees with the single-machine brute force") {
     val data = VectorData.clustered(spark, 500, 8, 4, seed = 2L)
     val queries = VectorData.clusteredQueries(spark, 10, 8, 4, seed = 2L)
