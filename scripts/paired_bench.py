@@ -7,9 +7,9 @@ Usage, from anywhere inside the repository:
         --workload sift-apd --seeds 611-620 --out pairs.json
 
 Each commit is exported with `git archive` into `<workdir>/parent` and
-`<workdir>/change`. The two paths have equal length, because the index
-metadata (meta.bin) stores the index directory's path and so `index_mb`
-would otherwise differ by the path length alone. An export is reused while
+`<workdir>/change`. The two paths have equal length, because older
+commits store each index file's full path in the index metadata (meta.bin),
+so `index_mb` would otherwise differ by the path length alone. An export is reused while
 it holds the same commit, so its compiled benchmark is reused too.
 
 For every seed the script runs `python3 perfbench/run.py --workload <w>

@@ -68,9 +68,6 @@ object Vectors {
     else 1.0 - ab / (na * nb)
   }
 
-  /** Projection of `v` onto direction `h` (plain dot; `h` need not be unit). */
-  def project(v: Array[Float], h: Array[Float]): Double = dot(v, h)
-
   /** Scale `a` to unit norm; returns a fresh array (zero vector unchanged). */
   def normalize(a: Array[Float]): Array[Float] = {
     val n = norm(a)

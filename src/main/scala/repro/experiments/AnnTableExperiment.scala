@@ -24,7 +24,6 @@ object AnnTableExperiment {
       alpha: Double = 0.15,
       confidence: Double = 0.95,
       hnsw: HnswParams = HnswParams(m = 16, efConstruction = 120, efSearch = 150),
-      efSearch: Int = 150,
       sampleSize: Int = 20000,
       workDir: String = "target/bench-work",
   )
@@ -63,7 +62,7 @@ object AnnTableExperiment {
       h.build(shards, seg, cfg.hnsw, s"$work/$tag", e)
 
     def queryAt(meta: LannsMeta, e: Int, checkpoint: Option[String] = None) =
-      h.query(meta, cfg.topK, cfg.efSearch, Some(cfg.confidence), e, checkpoint)
+      h.query(meta, cfg.topK, cfg.hnsw.efSearch, Some(cfg.confidence), e, checkpoint)
 
     // ---- HNSW baseline: one unpartitioned index, one slot ----------------
     val (hnswMeta, hnswBuildMs) = buildAt("hnsw", 1, new RandomSegmenter(1), 1)

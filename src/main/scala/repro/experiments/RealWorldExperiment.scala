@@ -34,7 +34,6 @@ object RealWorldExperiment {
         UseCase(Datasets.groupsLite, shards = 1, segmenterKind = "APD", segments = 4, k = 100),
       ),
       hnsw: HnswParams = HnswParams(m = 16, efConstruction = 120, efSearch = 150),
-      efSearch: Int = 150,
       confidence: Double = 0.95,
       numExecutors: Int = 8,
       sampleSize: Int = 20000,
@@ -63,7 +62,7 @@ object RealWorldExperiment {
         SegmenterLearner.sample(h.data, cfg.sampleSize, ds.seed + 9), ds.seed + 17)
       val (meta, buildMs) = h.build(uc.shards, seg, cfg.hnsw,
         s"${cfg.workDir}/real/${ds.name}", cfg.numExecutors)
-      val (res, queryMs) = h.query(meta, uc.k, cfg.efSearch, Some(cfg.confidence),
+      val (res, queryMs) = h.query(meta, uc.k, cfg.hnsw.efSearch, Some(cfg.confidence),
         cfg.numExecutors, Some(s"${cfg.workDir}/real/${ds.name}-ckpt"))
       val rec = Recall.atK(res, h.truth, uc.k)
       res.unpersist(); h.unpersist()

@@ -21,7 +21,6 @@ object SpillExperiment {
       spillPercents: Seq[Int] = Seq(10, 20, 30),
       k: Int = 15,
       hnsw: HnswParams = HnswParams(m = 16, efConstruction = 120, efSearch = 60),
-      efSearch: Int = 60,
       numExecutors: Int = 8,
       sampleSize: Int = 20000,
       workDir: String = "target/bench-work",
@@ -41,7 +40,7 @@ object SpillExperiment {
     def measure(tag: String, seg: Segmenter): (Double, Double) = {
       val (meta, _) = h.build(1, seg, cfg.hnsw, s"$work/$tag", cfg.numExecutors)
       def once(): (Double, Long) = {
-        val (res, ms) = h.query(meta, cfg.k, cfg.efSearch, None, cfg.numExecutors)
+        val (res, ms) = h.query(meta, cfg.k, cfg.hnsw.efSearch, None, cfg.numExecutors)
         val rec = Recall.atK(res, h.truth, cfg.k)
         res.unpersist()
         (rec, ms)

@@ -24,7 +24,10 @@ private[lanns] object Dataflow {
   /** Pack tagged rows into `numExecutors` *slots* — range partitions over
     * `(shard·m + segment) mod E` — and run `perGroup` on each of a task's
     * (shard, segment) groups in turn, with the group's (key, vector) rows in
-    * arrival order: exactly the schedule an E-executor cluster produces.
+    * arrival order. That is an E-executor cluster's schedule only while each
+    * slot gets a partition of its own, which `repartitionByRange` does not
+    * promise: its bounds come from a sample, so a slot with less than 1/E of
+    * the rows can share a task with another slot.
     */
   def bySlot[A: Encoder](rows: Dataset[TaggedRow], numSegments: Int, numExecutors: Int)(
       perGroup: ((Int, Int), mutable.ArrayBuffer[(Long, Array[Float])]) => Iterator[A]): Dataset[A] =

@@ -3,6 +3,7 @@ package repro.lanns
 import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream, File,
                 FileInputStream, FileOutputStream, IOException, InputStream, ObjectInputStream,
                 ObjectOutputStream}
+import java.nio.file.Paths
 import org.apache.spark.sql.Dataset
 import repro.core.{Distance, HnswIndex, HnswParams, IndexMeta, TaggedRow, VecRow}
 import repro.segment.Segmenter
@@ -31,19 +32,28 @@ object LannsMeta {
   /** Metadata file name inside an index directory. */
   val FileName = "meta.bin"
 
-  /** Read the metadata written by [[Indexer.build]]; a failure names the file. */
-  def read(indexDir: String): LannsMeta =
-    Indexer.readFile(new File(indexDir, FileName).getPath, "index metadata")(
+  /** Read the metadata written by [[Indexer.build]], resolving each index
+    * file's path against `indexDir`; a failure names the file.
+    */
+  def read(indexDir: String): LannsMeta = {
+    val meta = Indexer.readFile(new File(indexDir, FileName).getPath, "index metadata")(
       new ObjectInputStream(_).readObject().asInstanceOf[LannsMeta])
+    val dir = Paths.get(indexDir)
+    meta.copy(indexes = meta.indexes.map(im => im.copy(path = dir.resolve(im.path).toString)))
+  }
 
   /** Persist metadata from the driver (§5.2: "the associated metadata and
     * segmenter information is coupled with the index and written from the
-    * driver").
+    * driver"). Index paths are stored relative to `indexDir`, so a copied
+    * or moved index directory reads its own files.
     */
   def write(meta: LannsMeta, indexDir: String): Unit = {
     new File(indexDir).mkdirs()
+    val dir = Paths.get(indexDir).toAbsolutePath
+    val relative = meta.copy(indexes = meta.indexes.map(im =>
+      im.copy(path = dir.relativize(Paths.get(im.path).toAbsolutePath).toString)))
     val out = new ObjectOutputStream(new FileOutputStream(new File(indexDir, FileName)))
-    try out.writeObject(meta)
+    try out.writeObject(relative)
     finally out.close()
   }
 }
@@ -54,10 +64,10 @@ object LannsMeta {
   * more segment ids (the shared pre-learnt segmenter; several under
   * physical spill). Tagged rows are packed into `numExecutors` *slots* —
   * range partitions over `(shard·m + segment) mod E` — so each Spark task
-  * builds its (shard, segment) groups sequentially, exactly the schedule an
-  * E-executor cluster produces. Every group becomes one serialized
-  * [[HnswIndex]] file written from inside the executor; the driver collects
-  * the per-index metadata and writes [[LannsMeta]].
+  * builds its (shard, segment) groups sequentially (see [[Dataflow.bySlot]]
+  * for when that matches an E-executor cluster). Every group becomes one
+  * serialized [[HnswIndex]] file written from inside the executor; the
+  * driver collects the per-index metadata and writes [[LannsMeta]].
   */
 object Indexer {
 
@@ -65,7 +75,8 @@ object Indexer {
     *
     * @param numExecutors parallelism slots emulating the paper's executor
     *                     counts (Tables 2/5)
-    * @return the metadata also persisted at `outDir/meta.bin`
+    * @return the metadata also persisted at `outDir/meta.bin`, with each
+    *         index file's full path (the file stores it relative to `outDir`)
     * @throws IllegalArgumentException if numShards or numExecutors is below
     *         1; a row whose length is not `dim` or that has a NaN or ±Inf
     *         component fails the job with an error naming its id

@@ -1,5 +1,7 @@
 package repro.lanns
 
+import org.apache.commons.math3.special.Erf
+
 /** Per-shard topK reduction (§5.3.2): under random sharding each shard
   * holds ≈1/S of any query's true top-K, so fetching the full K from every
   * shard wastes network and merge cost. The cutoff is the upper end of the
@@ -16,32 +18,14 @@ package repro.lanns
   */
 object PerShardTopK {
 
-  /** Inverse standard-normal CDF (Acklam's rational approximation,
-    * |ε| < 1.15e−9 on (0, 1)).
+  /** Inverse standard-normal CDF, Φ⁻¹(p) = √2·erf⁻¹(2p − 1). For p ≥ 0.5,
+    * the only values [[apply]] asks for, 2p − 1 is exact and so is the
+    * result to double precision (within 4e−15 of the true quantile); for
+    * small p the rounding of 2p − 1 costs accuracy (3e−6 at p = 1e−12).
     */
   def probit(p: Double): Double = {
     require(p > 0.0 && p < 1.0, s"probit defined on (0,1), got $p")
-    val a = Array(-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-                   1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    val b = Array(-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-                   6.680131188771972e+01, -1.328068155288572e+01)
-    val c = Array(-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-                  -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    val d = Array(7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-                  3.754408661907416e+00)
-    val pLow = 0.02425
-    if (p < pLow) {
-      val q = math.sqrt(-2 * math.log(p))
-      (((((c(0) * q + c(1)) * q + c(2)) * q + c(3)) * q + c(4)) * q + c(5)) /
-        ((((d(0) * q + d(1)) * q + d(2)) * q + d(3)) * q + 1)
-    } else if (p <= 1 - pLow) {
-      val q = p - 0.5
-      val r = q * q
-      (((((a(0) * r + a(1)) * r + a(2)) * r + a(3)) * r + a(4)) * r + a(5)) * q /
-        (((((b(0) * r + b(1)) * r + b(2)) * r + b(3)) * r + b(4)) * r + 1)
-    } else {
-      -probit(1 - p)
-    }
+    math.sqrt(2.0) * Erf.erfInv(2.0 * p - 1.0)
   }
 
   /** The reduced k each shard is asked for. Segments inherit the shard's

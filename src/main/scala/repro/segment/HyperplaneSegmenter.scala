@@ -46,7 +46,7 @@ final class HyperplaneSegmenter(
     while (level < depth) {
       frontier = frontier.flatMap { i =>
         val n = nodes(i)
-        val p = Vectors.project(vec, n.h)
+        val p = Vectors.dot(vec, n.h)
         if (spill && p >= n.lo && p <= n.hi) List(2 * i + 1, 2 * i + 2)
         else if (p < n.split) List(2 * i + 1)
         else List(2 * i + 2)

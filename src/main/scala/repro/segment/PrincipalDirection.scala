@@ -1,14 +1,16 @@
 package repro.segment
 
+import org.apache.commons.math3.linear.{Array2DRowRealMatrix, EigenDecomposition}
+
 /** Approximate principal directions for the APD segmenter (§4.3.3).
   *
   * The paper sets A = D·Dᵀ (similarity graph), whose second-largest
   * eigenvector approximates the sparsest cut; the queryable hyperplane is
   * the corresponding **second-largest right singular vector of D**, i.e.
   * the second eigenvector of the d×d Gram matrix G = Dᵀ·D. The paper uses
-  * Spark MLlib's SVD; offline we substitute the Gram matrix of the
-  * driver-side sample the learner draws, followed by power iteration with
-  * deflation — equivalent for the top-2 spectrum and fully unit-testable.
+  * Spark MLlib's SVD, which for small d computes the Gram matrix and a
+  * symmetric eigendecomposition of it; we do the same on the driver-side
+  * sample the learner draws, with commons-math's exact solver.
   */
 object PrincipalDirection {
 
@@ -37,78 +39,19 @@ object PrincipalDirection {
     g
   }
 
-  /** Top-`k` eigenvectors of a symmetric PSD matrix by power iteration with
-    * deflation. Vectors are unit-norm; sign is fixed so the largest-|coord|
-    * entry is positive (determinism for tests).
-    */
-  def topEigenvectors(g: Array[Array[Double]], k: Int, iters: Int = 200,
-                      seed: Long = 1234L): Array[Array[Double]] = {
-    val dim = g.length
-    val work = g.map(_.clone())
-    val rng = new java.util.Random(seed)
-    val out = new Array[Array[Double]](k)
-    var e = 0
-    while (e < k) {
-      var v = Array.fill(dim)(rng.nextGaussian())
-      normalize(v)
-      var it = 0
-      while (it < iters) {
-        v = matVec(work, v)
-        val n = normalize(v)
-        if (n == 0.0) { v = Array.fill(dim)(rng.nextGaussian()); normalize(v) }
-        it += 1
-      }
-      fixSign(v)
-      out(e) = v
-      // deflate: work -= λ v vᵀ
-      val gv = matVec(work, v)
-      val lambda = dotD(v, gv)
-      var i = 0
-      while (i < dim) {
-        var j = 0
-        while (j < dim) { work(i)(j) -= lambda * v(i) * v(j); j += 1 }
-        i += 1
-      }
-      e += 1
-    }
-    out
-  }
-
   /** The APD split direction: second-largest right singular vector of the
-    * sample matrix (second eigenvector of its Gram).
+    * sample matrix, i.e. the eigenvector of the second-largest eigenvalue of
+    * its Gram, from an exact symmetric eigendecomposition. Unit-norm, with
+    * the sign fixed so the largest-|coord| entry is positive.
     */
-  def secondDirection(rows: Iterable[Array[Float]], dim: Int,
-                      seed: Long = 1234L): Array[Float] = {
-    val g = gramLocal(rows, dim)
-    val eig = topEigenvectors(g, k = 2, seed = seed)
-    eig(1).map(_.toFloat)
-  }
-
-  private def matVec(m: Array[Array[Double]], v: Array[Double]): Array[Double] = {
-    val out = new Array[Double](v.length)
-    var i = 0
-    while (i < v.length) {
-      var s = 0.0
-      val row = m(i)
-      var j = 0
-      while (j < v.length) { s += row(j) * v(j); j += 1 }
-      out(i) = s
-      i += 1
-    }
-    out
-  }
-
-  private def dotD(a: Array[Double], b: Array[Double]): Double = {
-    var s = 0.0; var i = 0
-    while (i < a.length) { s += a(i) * b(i); i += 1 }
-    s
-  }
-
-  /** Normalize in place; returns the pre-normalization norm. */
-  private def normalize(v: Array[Double]): Double = {
-    val n = math.sqrt(dotD(v, v))
-    if (n > 0) { var i = 0; while (i < v.length) { v(i) /= n; i += 1 } }
-    n
+  def secondDirection(rows: Iterable[Array[Float]], dim: Int): Array[Float] = {
+    require(dim >= 2, s"a second direction needs dim >= 2, got $dim")
+    val eig = new EigenDecomposition(new Array2DRowRealMatrix(gramLocal(rows, dim), false))
+    val lambda = eig.getRealEigenvalues
+    val order = lambda.indices.sortBy(i => -lambda(i))
+    val v = eig.getEigenvector(order(1)).toArray
+    fixSign(v)
+    v.map(_.toFloat)
   }
 
   private def fixSign(v: Array[Double]): Unit = {

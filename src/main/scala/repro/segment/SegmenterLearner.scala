@@ -61,13 +61,15 @@ object SegmenterLearner {
   /** Learn an Approximate Principal Direction (APD) segmenter: each node
     * splits its subset along the second-largest right singular vector of
     * the subset matrix (§4.3.3), with the same spill machinery as RH.
+    * `seed` only draws the random direction of a node whose subset has
+    * fewer than 2 rows.
     */
   def learnAPD(sample: Array[Array[Float]], dim: Int, depth: Int, alpha: Double,
                seed: Long = 33L): HyperplaneSegmenter =
     learnTree(sample, dim, depth, alpha, mode = "APD",
       direction = (subset: Array[Array[Float]]) =>
         if (subset.length < 2) randomUnit(dim, new java.util.Random(seed))
-        else PrincipalDirection.secondDirection(subset, dim, seed))
+        else PrincipalDirection.secondDirection(subset, dim))
 
   /** Shared recursive learner: breadth-first over the complete binary tree,
     * each internal node computing `direction` on its subset, then a median
@@ -87,7 +89,7 @@ object SegmenterLearner {
     while (i < nInternal) {
       val subset = subsets(i)
       val h = Vectors.normalize(direction(subset))
-      val projs = subset.map(v => Vectors.project(v, h)).sorted
+      val projs = subset.map(v => Vectors.dot(v, h)).sorted
       val (split, lo, hi) =
         if (projs.isEmpty) (0.0, 0.0, 0.0)
         else (
@@ -99,7 +101,7 @@ object SegmenterLearner {
       val left  = new ArrayBuffer[Array[Float]](subset.length / 2 + 1)
       val right = new ArrayBuffer[Array[Float]](subset.length / 2 + 1)
       subset.foreach { v =>
-        if (Vectors.project(v, h) < split) left += v else right += v
+        if (Vectors.dot(v, h) < split) left += v else right += v
       }
       subsets(2 * i + 1) = left.toArray
       subsets(2 * i + 2) = right.toArray

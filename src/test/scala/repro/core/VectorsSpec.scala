@@ -61,10 +61,6 @@ class VectorsSpec extends AnyFunSuite {
     assert(Vectors.cosineDist(Array(0f, 0f), Array(1f, 2f)) === 1.0)
   }
 
-  test("project is the plain dot product") {
-    assert(Vectors.project(Array(1f, 2f), Array(3f, 4f)) === Vectors.dot(Array(1f, 2f), Array(3f, 4f)))
-  }
-
   test("normalize produces a unit vector and leaves the input untouched") {
     val v = Array(3f, 4f)
     val u = Vectors.normalize(v)

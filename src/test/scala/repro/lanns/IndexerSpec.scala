@@ -97,6 +97,24 @@ class IndexerSpec extends SparkSpec {
     assert(back.indexes === meta.indexes)
   }
 
+  test("a moved index directory reads its own files and answers as before") {
+    val data = VectorData.clustered(spark, 600, 8, 4, seed = 12L)
+    val queries = VectorData.clusteredQueries(spark, 20, 8, 4, seed = 12L)
+    val parent = Files.createTempDirectory("lanns-move")
+    val dir = parent.resolve("built")
+    val meta = Indexer.build(data, 8, 2, new RandomSegmenter(2, seed = 3L), Distance.Euclidean,
+      params, dir.toString, 2)
+    def rows(m: LannsMeta) = Querier.search(queries, m, 5, 40, None, 2)
+      .orderBy("qid", "rank").collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSeq
+    val before = rows(meta)
+    val moved = Files.move(dir, parent.resolve("moved"))
+    val back = LannsMeta.read(moved.toString)
+    back.indexes.foreach(im =>
+      assert(im.path.startsWith(moved.toString + java.io.File.separator), im.path))
+    assert(back.indexes.map(_.copy(path = "")) === meta.indexes.map(_.copy(path = "")))
+    assert(rows(back) === before)
+  }
+
   test("a learnt segmenter survives meta serialization and routes identically") {
     val data = VectorData.clustered(spark, 800, 8, 4, seed = 6L)
     val sample = SegmenterLearner.sample(data, 800, 2L)

@@ -32,33 +32,56 @@ class PrincipalDirectionSpec extends AnyFunSuite {
       PrincipalDirection.gramLocal(Seq(Array(1f, 2f, 3f)), 2))
   }
 
-  test("topEigenvectors recovers the eigenvectors of a diagonal matrix") {
-    val g = Array(
-      Array(9.0, 0.0, 0.0),
-      Array(0.0, 4.0, 0.0),
-      Array(0.0, 0.0, 1.0))
-    val eig = PrincipalDirection.topEigenvectors(g, 2)
-    assert(cross(eig(0), Array(1.0, 0.0, 0.0)) > 0.999)
-    assert(cross(eig(1), Array(0.0, 1.0, 0.0)) > 0.999)
+  /** One row √λᵢ·eᵢ per eigenvalue, so the Gram is diag(λ). */
+  private def diagonalRows(lambda: Double*): Seq[Array[Float]] =
+    lambda.indices.map { i =>
+      val r = new Array[Float](lambda.length); r(i) = math.sqrt(lambda(i)).toFloat; r
+    }
+
+  /** Unit norm, the largest-|coord| entry positive, and a repeated call equal. */
+  private def assertWellFormed(rows: Seq[Array[Float]], dim: Int): Array[Float] = {
+    val h = PrincipalDirection.secondDirection(rows, dim)
+    assert(math.abs(math.sqrt(h.map(x => x.toDouble * x).sum) - 1.0) < 1e-6, h.toSeq)
+    assert(h(h.indices.maxBy(i => math.abs(h(i)))) > 0f, s"sign not fixed: ${h.toSeq}")
+    assert(PrincipalDirection.secondDirection(rows, dim).toSeq === h.toSeq)
+    h
   }
 
-  test("topEigenvectors recovers eigenvectors of a rotated 2x2 matrix") {
-    // eigenvalues 5 and 1, eigenvectors (1,1)/sqrt2 and (1,-1)/sqrt2
-    val g = Array(Array(3.0, 2.0), Array(2.0, 3.0))
-    val eig = PrincipalDirection.topEigenvectors(g, 2)
-    assert(cross(eig(0), Array(1.0, 1.0)) > 0.999)
-    assert(cross(eig(1), Array(1.0, -1.0)) > 0.999)
+  test("secondDirection of rows whose Gram is diag(9, 4, 1) is e2") {
+    val h = assertWellFormed(diagonalRows(9, 4, 1), 3)
+    assert(cross(h.map(_.toDouble), Array(0.0, 1.0, 0.0)) > 0.999)
   }
 
-  test("returned eigenvectors are unit-norm and mutually orthogonal") {
-    val rng = new java.util.Random(2)
-    val rows = Seq.fill(300)(Array.fill(4)(rng.nextFloat()))
-    val g = PrincipalDirection.gramLocal(rows, 4)
-    val eig = PrincipalDirection.topEigenvectors(g, 2)
-    val n0 = math.sqrt(eig(0).map(x => x * x).sum)
-    val n1 = math.sqrt(eig(1).map(x => x * x).sum)
-    assert(math.abs(n0 - 1.0) < 1e-6 && math.abs(n1 - 1.0) < 1e-6)
-    assert(cross(eig(0), eig(1)) < 1e-3)
+  test("secondDirection of rows with Gram [[3, 2], [2, 3]] is (1, -1)") {
+    // eigenvalues 5 and 1, eigenvectors (1,1)/sqrt2 and (1,-1)/sqrt2: the
+    // rows sqrt5·(1,1)/sqrt2 and (1,-1)/sqrt2 have exactly that Gram. Both
+    // entries of the answer tie in magnitude, so its sign is left to
+    // rounding; only repeated calls must agree.
+    val s = math.sqrt(0.5)
+    val rows = Seq(Array((math.sqrt(5) * s).toFloat, (math.sqrt(5) * s).toFloat),
+                   Array(s.toFloat, (-s).toFloat))
+    val h = PrincipalDirection.secondDirection(rows, 2)
+    assert(math.abs(math.sqrt(h.map(x => x.toDouble * x).sum) - 1.0) < 1e-6, h.toSeq)
+    assert(cross(h.map(_.toDouble), Array(1.0, -1.0)) > 0.999)
+    assert(PrincipalDirection.secondDirection(rows, 2).toSeq === h.toSeq)
+  }
+
+  test("secondDirection is exact when lambda2 and lambda3 nearly tie") {
+    // Gram diag(10, 5, 4.99, 1): a gap this small leaves a fixed-step power
+    // iteration between e2 and e3.
+    val h = assertWellFormed(diagonalRows(10, 5, 4.99, 1), 4)
+    val e2 = Array(0f, 1f, 0f, 0f)
+    h.indices.foreach(i => assert(math.abs(h(i) - e2(i)) < 1e-6, h.toSeq))
+  }
+
+  test("secondDirection is deterministic on random rows") {
+    val rng = new java.util.Random(4)
+    assertWellFormed(Seq.fill(100)(Array.fill(6)(rng.nextFloat())), 6)
+  }
+
+  test("secondDirection rejects a single dimension") {
+    intercept[IllegalArgumentException](
+      PrincipalDirection.secondDirection(Seq(Array(1f), Array(2f)), 1))
   }
 
   test("secondDirection of off-origin anisotropic data is the dominant variance axis") {
@@ -69,18 +92,9 @@ class PrincipalDirectionSpec extends AnyFunSuite {
       10f + (rng.nextGaussian() * 0.1).toFloat,
       (rng.nextGaussian() * 3).toFloat,
       (rng.nextGaussian() * 0.2).toFloat))
-    val h = PrincipalDirection.secondDirection(rows, 3)
+    val h = assertWellFormed(rows, 3)
     val hd = h.map(_.toDouble)
     assert(cross(hd, Array(0.0, 1.0, 0.0)) > 0.98,
       s"second direction ${h.toSeq} not aligned with y axis")
-  }
-
-  test("power iteration is deterministic for a fixed seed") {
-    val rng = new java.util.Random(4)
-    val rows = Seq.fill(100)(Array.fill(6)(rng.nextFloat()))
-    val g = PrincipalDirection.gramLocal(rows, 6)
-    val a = PrincipalDirection.topEigenvectors(g, 2, seed = 9L)
-    val b = PrincipalDirection.topEigenvectors(g, 2, seed = 9L)
-    assert(a.map(_.toSeq).toSeq === b.map(_.toSeq).toSeq)
   }
 }

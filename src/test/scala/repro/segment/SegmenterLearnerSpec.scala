@@ -58,7 +58,7 @@ class SegmenterLearnerSpec extends AnyFunSuite {
     val pts = sample(4000, 6, 6L)
     val s = SegmenterLearner.learnRH(pts, 6, depth = 1, alpha = 0.15)
     val n = s.nodes.head
-    val left = pts.count(v => Vectors.project(v, n.h) < n.split)
+    val left = pts.count(v => Vectors.dot(v, n.h) < n.split)
     assert(math.abs(left - 2000) < 200, s"unbalanced split: $left of 4000 left")
   }
 
