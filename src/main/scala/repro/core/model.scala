@@ -14,10 +14,9 @@ final case class VecRow(id: Long, vec: Array[Float])
   */
 final case class QueryRow(qid: Long, vec: Array[Float])
 
-/** A vector tagged with its two-level partition: (shard, segment). `key` is
-  * a document id on the build side, where physical spill can emit it under
-  * several segments, and a query id on the query side, where virtual spill
-  * emits it under several segments of every shard.
+/** A document tagged by the build with its two-level partition: (shard,
+  * segment). `key` is the document id; physical spill can emit it under
+  * several segments.
   */
 final case class TaggedRow(key: Long, vec: Array[Float], shard: Int, segment: Int)
 

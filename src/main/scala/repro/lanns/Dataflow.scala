@@ -2,12 +2,11 @@ package repro.lanns
 
 import java.io.File
 import org.apache.spark.sql.{DataFrame, Dataset, Encoder}
-import org.apache.spark.sql.functions.expr
-import repro.core.TaggedRow
-import scala.collection.mutable
+import org.apache.spark.sql.functions.{col, udf}
+import repro.core.{QueryRow, TaggedRow}
 
 /** The steps the build (§5.2), query (§5.3) and brute-force (§5.4) jobs
-  * share: input validation, executor slotting and checkpointed merging.
+  * share: input validation, query broadcast, slotting and checkpointed merging.
   */
 private[lanns] object Dataflow {
 
@@ -21,26 +20,33 @@ private[lanns] object Dataflow {
     require(bad < 0, s"$kind $key has non-finite component ${vec(bad)} at $bad")
   }
 
-  /** Pack tagged rows into `numExecutors` *slots* — range partitions over
-    * `(shard·m + segment) mod E` — and run `perGroup` on each of a task's
-    * (shard, segment) groups in turn, with the group's (key, vector) rows in
-    * arrival order. That is an E-executor cluster's schedule only while each
-    * slot gets a partition of its own, which `repartitionByRange` does not
-    * promise: its bounds come from a sample, so a slot with less than 1/E of
-    * the rows can share a task with another slot.
+  /** Collects `queries`, checks each on the driver against `dim` (default:
+    * the first query's length) with [[checkVector]], and broadcasts them whole
+    * to every task (§5.4). Returns the broadcast and the dimension checked.
+    */
+  def broadcastQueries(queries: Dataset[QueryRow], dim: Option[Int]) = {
+    val qs = queries.collect()
+    val d = dim.getOrElse(qs.headOption.fold(0)(_.vec.length))
+    qs.foreach(q => checkVector("query qid", q.qid, q.vec, d))
+    (queries.sparkSession.sparkContext.broadcast(qs), d)
+  }
+
+  /** The slot of group (shard, segment): the one rule the build and the query place groups by. */
+  def slotOf(shard: Int, segment: Int, numSegments: Int, numExecutors: Int): Int =
+    (shard * numSegments + segment) % numExecutors
+
+  /** Partition tagged rows by [[slotOf]], exactly one slot per task, and
+    * run `perGroup` on each of a task's (shard, segment) groups in turn, with
+    * the group's (key, vector) rows in arrival order.
     */
   def bySlot[A: Encoder](rows: Dataset[TaggedRow], numSegments: Int, numExecutors: Int)(
-      perGroup: ((Int, Int), mutable.ArrayBuffer[(Long, Array[Float])]) => Iterator[A]): Dataset[A] =
+      perGroup: ((Int, Int), Seq[(Long, Array[Float])]) => Iterator[A]): Dataset[A] =
     rows
-      .repartitionByRange(numExecutors, expr(s"(shard * $numSegments + segment) % $numExecutors"))
-      .mapPartitions { it =>
-        val groups = mutable.LinkedHashMap.empty[(Int, Int), mutable.ArrayBuffer[(Long, Array[Float])]]
-        it.foreach { t =>
-          groups.getOrElseUpdate((t.shard, t.segment),
-            new mutable.ArrayBuffer[(Long, Array[Float])]) += ((t.key, t.vec))
-        }
-        groups.iterator.flatMap { case (group, rs) => perGroup(group, rs) }
-      }
+      .repartitionById(numExecutors,
+        udf(slotOf(_: Int, _: Int, numSegments, numExecutors)).apply(col("shard"), col("segment")))
+      .mapPartitions(_.toSeq.groupBy(t => (t.shard, t.segment)).iterator.flatMap {
+        case (group, ts) => perGroup(group, ts.map(t => (t.key, t.vec)))
+      })
 
   /** `merge(hits)`, with the partial hits checkpointed when `checkpointDir`
     * is set (§5.3.1): they are written to `<checkpointDir>/<name>` and read

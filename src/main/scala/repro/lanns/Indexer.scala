@@ -62,12 +62,13 @@ object LannsMeta {
   *
   * Each document is tagged with a shard id (hash of its key) and one or
   * more segment ids (the shared pre-learnt segmenter; several under
-  * physical spill). Tagged rows are packed into `numExecutors` *slots* —
-  * range partitions over `(shard·m + segment) mod E` — so each Spark task
-  * builds its (shard, segment) groups sequentially (see [[Dataflow.bySlot]]
-  * for when that matches an E-executor cluster). Every group becomes one
-  * serialized [[HnswIndex]] file written from inside the executor; the
-  * driver collects the per-index metadata and writes [[LannsMeta]].
+  * physical spill). Tagged rows go to `numExecutors` *slots*, one task each
+  * ([[Dataflow.bySlot]]), and a task builds its (shard, segment) groups in
+  * turn, as one executor of an E-executor cluster would. A group is inserted
+  * in ascending id order, so its index bytes do not depend on E or on the
+  * input partitioning. Every group becomes one serialized [[HnswIndex]] file
+  * written from inside the executor; the driver collects the per-index
+  * metadata and writes [[LannsMeta]].
   */
 object Indexer {
 
@@ -95,7 +96,6 @@ object Indexer {
     val spark = data.sparkSession
     import spark.implicits._
 
-    val nSeg = segmenter.numSegments
     val segB = spark.sparkContext.broadcast(segmenter)
 
     val tagged: Dataset[TaggedRow] = data.flatMap { r =>
@@ -104,10 +104,10 @@ object Indexer {
       segB.value.routeData(r.id, r.vec).map(seg => TaggedRow(r.id, r.vec, shard, seg))
     }
 
-    val metas: Array[IndexMeta] = Dataflow.bySlot(tagged, nSeg, numExecutors) {
+    val metas: Array[IndexMeta] = Dataflow.bySlot(tagged, segmenter.numSegments, numExecutors) {
       case ((s, g), rows) =>
         val t0 = System.nanoTime()
-        val idx = HnswIndex.build(dim, distance, params, rows.iterator)
+        val idx = HnswIndex.build(dim, distance, params, rows.sortBy(_._1).iterator)
         val path = indexPath(outDir, s, g)
         writeIndexFile(idx, path)
         Iterator.single(IndexMeta(s, g, rows.length.toLong, path, (System.nanoTime() - t0) / 1000000L))

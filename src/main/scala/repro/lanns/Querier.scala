@@ -2,19 +2,21 @@ package repro.lanns
 
 import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions.{array, col}
-import repro.core.{HitList, QueryRow, RankedHit, TaggedRow}
+import repro.core.{HitList, QueryRow, RankedHit}
 import scala.collection.mutable
 
 /** Distributed querying over a two-level partitioned index (§5.3, Figure 7).
   *
-  * Queries are routed (every shard; the segmenter's virtual-spill segment
-  * set) and packed into executor slots like the indexer. Each task loads its
-  * (shard, segment) index once, runs partial HNSW searches, and emits one
-  * [[HitList]] per (query, routed group). Merging is two-level, mirroring
-  * the online system: segment hits merge *within* a shard first (keeping
-  * the perShardTopK best, §5.3.2), then shard results merge globally to the
-  * final topK. Both levels run in one pass per query, after at most one
-  * shuffle of the lists by qid.
+  * The query set is checked and broadcast whole (§5.4), and one task runs
+  * per executor slot, over the (shard, segment) indexes [[Dataflow.slotOf]]
+  * places there. It routes the queries (every shard; the segmenter's
+  * virtual-spill segment set), loads each of its indexes once, searches the
+  * queries routed to it, and emits one [[HitList]] per (query, routed
+  * group). Merging is two-level, mirroring the online system: segment hits
+  * merge *within* a shard first (keeping the perShardTopK best, §5.3.2),
+  * then shard results merge globally to the final topK. Both levels run in
+  * one pass per query, after at most one shuffle of the lists by qid (none
+  * when E = 1).
   *
   * Partial results can be checkpointed to a temporary directory between
   * stages (§5.3.1's defense against cascading executor time-outs); pass
@@ -34,9 +36,9 @@ object Querier {
     *                    `<dir>/partial_hits` and reloaded before merging;
     *                    only that subdirectory is deleted afterwards
     * @return DataFrame (qid, id, dist, rank) with rank in 1..topK
-    * @throws IllegalArgumentException if topK or efSearch is below 1; a
-    *         query whose length is not `meta.dim` or that has a NaN or ±Inf
-    *         component fails the job with an error naming its qid
+    * @throws IllegalArgumentException if topK, efSearch or numExecutors is
+    *         below 1, or, on the driver, if a query's length is not
+    *         `meta.dim` or it has a NaN or ±Inf component (naming its qid)
     */
   def search(
       queries: Dataset[QueryRow],
@@ -44,40 +46,30 @@ object Querier {
       topK: Int,
       efSearch: Int,
       confidence: Option[Double] = None,
-      numExecutors: Int = 8,
+      numExecutors: Int,
       checkpointDir: Option[String] = None,
   ): DataFrame = {
     require(topK >= 1, s"topK must be >= 1, got $topK")
     require(efSearch >= 1, s"efSearch must be >= 1, got $efSearch")
+    require(numExecutors >= 1, s"numExecutors must be >= 1, got $numExecutors")
     val spark = queries.sparkSession
     import spark.implicits._
 
     val kShard = confidence.map(PerShardTopK(topK, meta.numShards, _)).getOrElse(topK)
-    val nSeg = meta.numSegments
-    val shards = meta.numShards
-    val paths: Map[(Int, Int), String] =
-      meta.indexes.map(m => (m.shard, m.segment) -> m.path).toMap
-    val segB = spark.sparkContext.broadcast(meta.segmenter)
-    val pathsB = spark.sparkContext.broadcast(paths)
+    val (qB, _) = Dataflow.broadcastQueries(queries, Some(meta.dim))
 
-    // Route: all shards × the segmenter's query segments (virtual spill).
-    val dim = meta.dim
-    val routed: Dataset[TaggedRow] = queries.flatMap { q =>
-      Dataflow.checkVector("query qid", q.qid, q.vec, dim)
-      val segs = segB.value.routeQuery(q.vec)
-      for {
-        s <- 0 until shards
-        g <- segs
-        if pathsB.value.contains((s, g)) // empty partitions have no index
-      } yield TaggedRow(q.qid, q.vec, s, g)
-    }
-
-    val lists: Dataset[HitList] = Dataflow.bySlot(routed, nSeg, numExecutors) {
-      case ((s, g), qs) =>
-        val idx = Indexer.readIndexFile(pathsB.value((s, g)))
-        qs.iterator.map { case (qid, vec) =>
-          val found = idx.search(vec, kShard, efSearch)
-          HitList(qid, s, found.map(_.id), found.map(_.dist))
+    // One task per slot; `meta`, segmenter included, travels with the task.
+    val lists: Dataset[HitList] = spark.range(0, numExecutors, 1, numExecutors).flatMap { slot =>
+      val qs = qB.value
+      lazy val segs = qs.map(q => meta.segmenter.routeQuery(q.vec))
+      meta.indexes.iterator // empty groups have no index
+        .filter(im => Dataflow.slotOf(im.shard, im.segment, meta.numSegments, numExecutors) == slot)
+        .flatMap { im =>
+          lazy val idx = Indexer.readIndexFile(im.path)
+          qs.indices.iterator.filter(i => segs(i).contains(im.segment)).map { i =>
+            val found = idx.search(qs(i).vec, kShard, efSearch)
+            HitList(qs(i).qid, im.shard, found.map(_.id), found.map(_.dist))
+          }
         }
     }
 

@@ -9,7 +9,8 @@ import scala.collection.mutable
   * implementation of brute-force search").
   *
   * The dataset is split across `numPartitions` tasks; the (reasonably
-  * small) query set is broadcast whole into every task. A task packs its
+  * small) query set is checked and broadcast whole into every task, as the
+  * querier's is. A task packs its
   * rows into flat arrays and makes one call of the blocked kernel
   * [[BruteForce.topK]] for all queries, which keeps the k nearest distinct
   * ids of its partition (an id stored twice takes one slot, at its nearest
@@ -24,27 +25,24 @@ object SparkBruteForce {
     *
     * @return DataFrame (qid, id, dist, rank), rank 1..k by ascending
     *         distance, ties by id; each id at most once per query
-    * @throws IllegalArgumentException if k is below 1, or a query's length
-    *         differs from the first query's or it has a NaN or ±Inf
-    *         component (naming its qid); a row that does the same fails the
-    *         job with an error naming its id
+    * @throws IllegalArgumentException if k is below 1, or, on the driver,
+    *         if a query's length differs from the first query's or it has a
+    *         NaN or ±Inf component (naming its qid); a row that does the same
+    *         fails the job with an error naming its id
     */
   def search(
       data: Dataset[VecRow],
       queries: Dataset[QueryRow],
       k: Int,
       distance: Distance,
-      numPartitions: Int = 8,
+      numPartitions: Int,
       checkpointDir: Option[String] = None,
   ): DataFrame = {
     require(k >= 1, s"k must be >= 1, got $k")
     val spark = data.sparkSession
     import spark.implicits._
 
-    val qArr = queries.collect()
-    val dim = qArr.headOption.map(_.vec.length).getOrElse(0)
-    qArr.foreach(q => Dataflow.checkVector("query qid", q.qid, q.vec, dim))
-    val qB = spark.sparkContext.broadcast(qArr)
+    val (qB, dim) = Dataflow.broadcastQueries(queries, None)
 
     val partials: Dataset[HitList] = data
       .repartition(numPartitions)

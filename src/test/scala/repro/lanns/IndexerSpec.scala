@@ -149,6 +149,26 @@ class IndexerSpec extends SparkSpec {
     assert(c1 === c8)
   }
 
+  test("the same rows give the same index bytes whatever the slots and input partitions") {
+    val data = VectorData.clustered(spark, 1200, 8, 4, seed = 13L).cache()
+    /** Each index file's SHA-256, by its path under the index directory. */
+    def files(e: Int, inputPartitions: Int): Map[String, String] = {
+      val dir = tmpDir()
+      val meta = Indexer.build(data.repartition(inputPartitions), 8, 2,
+        new RandomSegmenter(3, 4L), Distance.Euclidean, params, dir, e)
+      meta.indexes.map { im =>
+        val bytes = Files.readAllBytes(java.nio.file.Paths.get(im.path))
+        im.path.stripPrefix(dir) ->
+          java.security.MessageDigest.getInstance("SHA-256").digest(bytes).map("%02x".format(_)).mkString
+      }.toMap
+    }
+    val ref = files(1, 1)
+    assert(ref.size === 6)
+    for (e <- Seq(1, 2, 8); p <- Seq(1, 5))
+      assert(files(e, p) === ref, s"E = $e, input partitions = $p")
+    data.unpersist()
+  }
+
   test("empty (shard, segment) groups yield no index files") {
     // 1 row, 4 shards x 4 segments: at most one group non-empty
     val data = VectorData.clustered(spark, 1, 8, 2, seed = 9L)

@@ -122,6 +122,30 @@ class QuerierSpec extends SparkSpec {
     assert(empty.schema === merged.schema)
   }
 
+  test("search shuffles only to merge, never with one slot, and keeps its schema when empty") {
+    import spark.implicits._
+    def shuffles(df: DataFrame): Int = {
+      df.collect() // fixes the adaptive plan
+      new AdaptiveSparkPlanHelper {}
+        .collect(df.queryExecution.executedPlan) { case e: ShuffleExchangeLike => e }.size
+    }
+    val data = VectorData.clustered(spark, 800, 8, 4, seed = 14L)
+    val queries = VectorData.clusteredQueries(spark, 20, 8, 4, seed = 14L)
+    val one = Indexer.build(data, 8, 1, new RandomSegmenter(1), Distance.Euclidean,
+      params, tmpDir("q-plan1"), 1)
+    val oneSlot = Querier.search(queries, one, 5, 60, None, 1)
+    assert(shuffles(oneSlot) === 0, oneSlot.queryExecution.executedPlan.treeString)
+    val eight = Indexer.build(data, 8, 2, new RandomSegmenter(4), Distance.Euclidean,
+      params, tmpDir("q-plan8"), 3)
+    val threeSlots = Querier.search(queries, eight, 5, 60, None, 3)
+    assert(shuffles(threeSlots) === 1, threeSlots.queryExecution.executedPlan.treeString)
+
+    val empty = Querier.search(spark.emptyDataset[QueryRow], eight, 5, 60, None, 3)
+    assert(empty.collect().isEmpty)
+    assert(empty.schema.map(f => f.name -> f.dataType) ===
+      Seq("qid" -> LongType, "id" -> LongType, "dist" -> DoubleType, "rank" -> IntegerType))
+  }
+
   private lazy val smallIndex = {
     val data = VectorData.clustered(spark, 300, 8, 3, seed = 12L)
     Indexer.build(data, 8, 2, new RandomSegmenter(2), Distance.Euclidean,
