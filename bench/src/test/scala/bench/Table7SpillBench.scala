@@ -12,8 +12,7 @@ import repro.experiments.SpillExperiment
   */
 class Table7SpillBench extends SparkSpec {
 
-  private lazy val outcome = SpillExperiment.run(spark,
-    SpillExperiment.Config(workDir = "target/bench-work/spill"))
+  private lazy val outcome = SpillExperiment.run(spark, "target/bench-work/spill")
 
   private def rows = outcome._1
 

@@ -13,8 +13,7 @@ import repro.experiments.RealWorldExperiment
   */
 class Table8and9RealWorldBench extends SparkSpec {
 
-  private lazy val outcome = RealWorldExperiment.run(spark,
-    RealWorldExperiment.Config(workDir = "target/bench-work/real"))
+  private lazy val outcome = RealWorldExperiment.run(spark, "target/bench-work/real")
 
   private def rows = outcome._1
 

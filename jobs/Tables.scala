@@ -16,10 +16,8 @@ object Tables {
   private val runs: Map[String, (SparkSession, String) => Seq[ExpTable]] = Map(
     "sift" -> ((spark, dir) => AnnTableExperiment.run(spark, AnnTableExperiment.sift(dir))._2),
     "gist" -> ((spark, dir) => AnnTableExperiment.run(spark, AnnTableExperiment.gist(dir))._2),
-    "spill" -> ((spark, dir) =>
-      Seq(SpillExperiment.run(spark, SpillExperiment.Config(workDir = dir))._2)),
-    "real" -> ((spark, dir) =>
-      RealWorldExperiment.run(spark, RealWorldExperiment.Config(workDir = dir))._2),
+    "spill" -> ((spark, dir) => Seq(SpillExperiment.run(spark, dir)._2)),
+    "real" -> ((spark, dir) => RealWorldExperiment.run(spark, dir)._2),
   )
 
   def main(args: Array[String]): Unit = {

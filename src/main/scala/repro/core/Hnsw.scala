@@ -35,12 +35,13 @@ final case class HnswParams(
   *
   * Storage is flat: all vectors in one `Array[Float]` of n·dim, in the
   * distance's prepared form (unit length for cosine, so a cosine distance is
-  * `1 − dot`); layer-0 adjacency in one array at a fixed stride of 2m+1 (the
-  * degree cap plus room for one back-link before re-pruning) with a count per
-  * node; the upper layers of each node in per-node arrays at stride m+1.
-  * Each neighbor's distance to the node is kept next to its id, so re-pruning
-  * an overfull list after a back-link scores only candidate pairs, never the
-  * list against its owner again.
+  * `1 − dot`); the neighbor lists of every layer in one array at a fixed
+  * stride of 2m+1 (the layer-0 cap plus room for one back-link before
+  * re-pruning), with a count per list. A node's lists are consecutive,
+  * layer 0 first, so its list on layer l is list `first(node) + l`; lists
+  * above layer 0 are capped at m. Each neighbor's distance to the node is
+  * kept next to its id, so re-pruning an overfull list after a back-link
+  * scores only candidate pairs, never the list against its owner again.
   *
   * Each list also keeps its heuristic *split*: the heuristic writes the
   * candidates it kept, then the pruned ones it backfilled, both in walk
@@ -70,28 +71,22 @@ final class HnswIndex private (
 ) extends Serializable {
   import HnswIndex.{Kept, Pruned, Scratch, Unknown, scratch}
 
-  private val m0      = 2 * params.m
-  private val stride0 = m0 + 1
-  private val strideU = params.m + 1
+  private val m0     = 2 * params.m
+  private val stride = m0 + 1
 
   private var n      = 0
   private var ids    = new Array[Long](0)
   private var levels = new Array[Int](0)
+  private var first  = new Array[Int](0)
   private var vecs   = new Array[Float](0)
-  // Layer 0: node i's neighbors at links0[i·stride0, i·stride0 + deg0(i)),
-  // their distances to i at the same offsets of dists0, the list's
-  // heuristic split at split0(i).
-  private var deg0   = new Array[Int](0)
-  private var split0 = new Array[Int](0)
-  private var links0 = new Array[Int](0)
-  private var dists0 = new Array[Double](0)
-  // Layers 1..level(i) of node i: layer l at offset (l−1)·strideU of
-  // linksU(i)/distsU(i), its count at degU(i)(l−1), its split at
-  // splitU(i)(l−1); null when level(i) = 0.
-  private var degU   = new Array[Array[Int]](0)
-  private var splitU = new Array[Array[Int]](0)
-  private var linksU = new Array[Array[Int]](0)
-  private var distsU = new Array[Array[Double]](0)
+  // List li (node i's list on layer l is li = first(i) + l): neighbors at
+  // links[li·stride, li·stride + deg(li)), their distances to the list's
+  // node at the same offsets of dists, the heuristic split at split(li).
+  private var lists  = 0
+  private var deg    = new Array[Int](0)
+  private var split  = new Array[Int](0)
+  private var links  = new Array[Int](0)
+  private var dists  = new Array[Double](0)
   // Set by readFrom: the index has no distances and rejects add.
   private var loaded = false
 
@@ -124,7 +119,7 @@ final class HnswIndex private (
       var l = 0
       while (l <= levels(i)) {
         nodes(l) += 1
-        maxDeg(l) = math.max(maxDeg(l), degree(i, l))
+        maxDeg(l) = math.max(maxDeg(l), deg(first(i) + l))
         l += 1
       }
       i += 1
@@ -134,28 +129,6 @@ final class HnswIndex private (
 
   private def maxDegree(layer: Int): Int = if (layer == 0) m0 else params.m
 
-  private def degree(node: Int, layer: Int): Int =
-    if (layer == 0) deg0(node) else degU(node)(layer - 1)
-
-  private def setDegree(node: Int, layer: Int, d: Int): Unit =
-    if (layer == 0) deg0(node) = d else degU(node)(layer - 1) = d
-
-  /** Number of heuristic-kept entries at the head of the list, −1 when unclassified. */
-  private def split(node: Int, layer: Int): Int =
-    if (layer == 0) split0(node) else splitU(node)(layer - 1)
-
-  private def setSplit(node: Int, layer: Int, k: Int): Unit =
-    if (layer == 0) split0(node) = k else splitU(node)(layer - 1) = k
-
-  private def linkArr(node: Int, layer: Int): Array[Int] =
-    if (layer == 0) links0 else linksU(node)
-
-  private def distArr(node: Int, layer: Int): Array[Double] =
-    if (layer == 0) dists0 else distsU(node)
-
-  private def linkOff(node: Int, layer: Int): Int =
-    if (layer == 0) node * stride0 else (layer - 1) * strideU
-
   /** Distance of the prepared vector `q[qOff, qOff+dim)` to `node`. */
   private def dist(q: Array[Float], qOff: Int, node: Int): Double =
     distance.prepared(q, qOff, vecs, node * dim, dim)
@@ -164,6 +137,7 @@ final class HnswIndex private (
     * `s.outIds`/`s.outDists`, by ascending distance, and returns their count.
     */
   private def searchLayer(q: Array[Float], qOff: Int, ep: Int, ef: Int, layer: Int, s: Scratch): Int = {
+    val links   = this.links // held in a local: the distance calls would reload the field
     val stamp   = s.newStamp(n)
     val visited = s.visited
     val cand    = s.cand // min-heap on distance
@@ -179,12 +153,12 @@ final class HnswIndex private (
       cand.pop()
       if (cd > -res.topKey && res.size >= ef) done = true // no candidate can improve the result set
       else {
-        val arr = linkArr(c, layer)
-        val off = linkOff(c, layer)
-        val cnt = degree(c, layer)
+        val li  = first(c) + layer
+        val off = li * stride
+        val cnt = deg(li)
         var i = 0
         while (i < cnt) {
-          val nb = arr(off + i)
+          val nb = links(off + i)
           if (visited(nb) != stamp) {
             visited(nb) = stamp
             val d = dist(q, qOff, nb)
@@ -225,8 +199,9 @@ final class HnswIndex private (
     */
   private def selectHeuristic(node: Int, layer: Int, cIds: Array[Int], cDists: Array[Double],
                               cPrior: Array[Int], count: Int, s: Scratch): Unit = {
-    val outIds = linkArr(node, layer); val outDists = distArr(node, layer)
-    val outOff = linkOff(node, layer)
+    val links = this.links; val dists = this.dists // locals: the distance calls would reload the fields
+    val li = first(node) + layer
+    val off = li * stride
     val cap = maxDegree(layer)
     s.ensurePruned(count)
     var kept = 0
@@ -239,26 +214,26 @@ final class HnswIndex private (
       var good = prior != Pruned || lost
       var j = if (prior == Kept) firstNew else 0
       while (good && j < kept) {
-        if (distance.prepared(vecs, c * dim, vecs, outIds(outOff + j) * dim, dim) < dc) good = false
+        if (distance.prepared(vecs, c * dim, vecs, links(off + j) * dim, dim) < dc) good = false
         j += 1
       }
       if (good) {
         if (prior != Kept && firstNew == cap) firstNew = kept
-        outIds(outOff + kept) = c; outDists(outOff + kept) = dc; kept += 1
+        links(off + kept) = c; dists(off + kept) = dc; kept += 1
       } else {
         if (prior == Kept) lost = true
         s.prunedIds(pruned) = c; s.prunedDists(pruned) = dc; pruned += 1
       }
       i += 1
     }
-    setSplit(node, layer, kept)
+    split(li) = kept
     var p = 0
     var size = kept
     while (size < cap && p < pruned) {
-      outIds(outOff + size) = s.prunedIds(p); outDists(outOff + size) = s.prunedDists(p)
+      links(off + size) = s.prunedIds(p); dists(off + size) = s.prunedDists(p)
       size += 1; p += 1
     }
-    setDegree(node, layer, size)
+    deg(li) = size
   }
 
   /** Append `nb` at distance `d` to `node`'s list on `layer`. A list that
@@ -269,21 +244,20 @@ final class HnswIndex private (
     * the order in which the split is what a fresh pass would compute.
     */
   private def link(node: Int, layer: Int, nb: Int, d: Double, s: Scratch): Unit = {
-    val arr = linkArr(node, layer)
-    val dArr = distArr(node, layer)
-    val off = linkOff(node, layer)
-    val cnt = degree(node, layer)
-    arr(off + cnt) = nb; dArr(off + cnt) = d
+    val li = first(node) + layer
+    val off = li * stride
+    val cnt = deg(li)
+    links(off + cnt) = nb; dists(off + cnt) = d
     val cap = maxDegree(layer)
-    if (cnt + 1 <= cap) { setDegree(node, layer, cnt + 1); setSplit(node, layer, Unknown) }
+    if (cnt + 1 <= cap) { deg(li) = cnt + 1; split(li) = Unknown }
     else {
       // stable insertion sort of the list by distance into scratch
-      val k = split(node, layer)
+      val k = split(li)
       s.ensureTmp(cnt + 1)
       val tIds = s.tmpIds; val tDists = s.tmpDists; val tPrior = s.tmpPrior
       var i = 0
       while (i <= cnt) {
-        val id = arr(off + i); val di = dArr(off + i)
+        val id = links(off + i); val di = dists(off + i)
         val pi = if (k < 0 || i == cnt) Unknown else if (i < k) Kept else Pruned
         var j = i - 1
         while (j >= 0 && tDists(j) > di) {
@@ -300,28 +274,27 @@ final class HnswIndex private (
   private def reserve(cap: Int): Unit = {
     ids    = java.util.Arrays.copyOf(ids, cap)
     levels = java.util.Arrays.copyOf(levels, cap)
+    first  = java.util.Arrays.copyOf(first, cap)
     vecs   = java.util.Arrays.copyOf(vecs, cap * dim)
-    deg0   = java.util.Arrays.copyOf(deg0, cap)
-    split0 = java.util.Arrays.copyOf(split0, cap)
-    links0 = java.util.Arrays.copyOf(links0, cap * stride0)
-    if (!loaded) dists0 = java.util.Arrays.copyOf(dists0, cap * stride0)
-    degU   = java.util.Arrays.copyOf(degU, cap)
-    splitU = java.util.Arrays.copyOf(splitU, cap)
-    linksU = java.util.Arrays.copyOf(linksU, cap)
-    distsU = java.util.Arrays.copyOf(distsU, cap)
   }
 
-  /** Allocate node `n` with the given id and level; the caller fills its vector. */
+  /** Allocate node `n` with the given id and level, and its empty lists on
+    * layers 0..level; the caller fills its vector.
+    */
   private def appendNode(id: Long, level: Int): Int = {
     if (n == ids.length) reserve(math.max(16, 2 * n))
-    val node = n
-    ids(node) = id; levels(node) = level; deg0(node) = 0; split0(node) = Unknown
-    if (level > 0) {
-      degU(node) = new Array[Int](level)
-      splitU(node) = Array.fill(level)(Unknown)
-      linksU(node) = new Array[Int](level * strideU)
-      if (!loaded) distsU(node) = new Array[Double](level * strideU)
+    val li = lists
+    lists += level + 1
+    if (lists > deg.length) {
+      val cap = math.max(lists, math.max(16, 2 * deg.length))
+      deg   = java.util.Arrays.copyOf(deg, cap)
+      split = java.util.Arrays.copyOf(split, cap)
+      links = java.util.Arrays.copyOf(links, cap * stride)
+      if (!loaded) dists = java.util.Arrays.copyOf(dists, cap * stride)
     }
+    java.util.Arrays.fill(split, li, lists, Unknown)
+    val node = n
+    ids(node) = id; levels(node) = level; first(node) = li
     n += 1
     node
   }
@@ -353,10 +326,10 @@ final class HnswIndex private (
       s.ensureTmp(found)
       java.util.Arrays.fill(s.tmpPrior, 0, found, Unknown)
       selectHeuristic(node, l, s.outIds, s.outDists, s.tmpPrior, found, s)
-      val arr = linkArr(node, l); val dArr = distArr(node, l); val off = linkOff(node, l)
-      val kept = degree(node, l)
+      val li = first(node) + l
+      val off = li * stride
       var i = 0
-      while (i < kept) { link(arr(off + i), l, node, dArr(off + i), s); i += 1 }
+      while (i < deg(li)) { link(links(off + i), l, node, dists(off + i), s); i += 1 }
       l -= 1
     }
 
@@ -402,7 +375,7 @@ final class HnswIndex private (
       val level = levels(i)
       var bytes = 12 + 4 * dim + 4 * (level + 1)
       var l = 0
-      while (l <= level) { bytes += 4 * degree(i, l); l += 1 }
+      while (l <= level) { bytes += 4 * deg(first(i) + l); l += 1 }
       if (buf.capacity < bytes) buf = ByteBuffer.allocate(math.max(bytes, 2 * buf.capacity))
       buf.clear()
       buf.putLong(ids(i)).putInt(level)
@@ -410,10 +383,11 @@ final class HnswIndex private (
       while (j < dim) { buf.putFloat(vecs(i * dim + j)); j += 1 }
       l = 0
       while (l <= level) {
-        val arr = linkArr(i, l); val off = linkOff(i, l); val cnt = degree(i, l)
+        val li = first(i) + l
+        val cnt = deg(li)
         buf.putInt(cnt)
         var t = 0
-        while (t < cnt) { buf.putInt(arr(off + t)); t += 1 }
+        while (t < cnt) { buf.putInt(links(li * stride + t)); t += 1 }
         l += 1
       }
       out.write(buf.array, 0, buf.position)
@@ -564,7 +538,7 @@ object HnswIndex {
     idx.entry = entry; idx.topLevel = top
     idx.loaded = true
     idx.reserve(n)
-    val bytes = new Array[Byte](4 * math.max(dim, idx.stride0))
+    val bytes = new Array[Byte](4 * math.max(dim, idx.stride))
     val buf = ByteBuffer.wrap(bytes)
     val linkedOn = Array.fill(n)(-1) // the highest layer on which a node is linked to
     var i = 0
@@ -583,18 +557,19 @@ object HnswIndex {
         require(cnt >= 0 && cnt <= idx.maxDegree(l), s"bad degree $cnt of node $i on layer $l")
         in.readFully(bytes, 0, 4 * cnt)
         buf.clear()
-        val arr = idx.linkArr(node, l); val off = idx.linkOff(node, l)
+        val li = idx.first(node) + l
         var t = 0
         while (t < cnt) {
           val nb = buf.getInt()
           require(nb >= 0 && nb < n, s"node $i on layer $l links to node $nb of $n")
-          arr(off + t) = nb; linkedOn(nb) = math.max(linkedOn(nb), l); t += 1
+          idx.links(li * idx.stride + t) = nb; linkedOn(nb) = math.max(linkedOn(nb), l); t += 1
         }
-        idx.setDegree(node, l, cnt)
+        idx.deg(li) = cnt
         l += 1
       }
       i += 1
     }
+    idx.links = java.util.Arrays.copyOf(idx.links, idx.lists * idx.stride) // read-only: no room to grow
     if (n > 0) require(idx.levels(entry) == top, s"entry $entry has level ${idx.levels(entry)}, not the top level $top")
     i = 0
     while (i < n) {

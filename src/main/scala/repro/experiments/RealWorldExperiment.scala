@@ -26,44 +26,40 @@ object RealWorldExperiment {
       alpha: Double = 0.15,
   )
 
-  final case class Config(
-      useCases: Seq[UseCase] = Seq(
-        UseCase(Datasets.pymkLite, shards = 4, segmenterKind = "RS", segments = 2, k = 100),
-        UseCase(Datasets.peopleLite, shards = 4, segmenterKind = "RS", segments = 2, k = 50),
-        UseCase(Datasets.nearDupeLite, shards = 1, segmenterKind = "RS", segments = 1, k = 100),
-        UseCase(Datasets.groupsLite, shards = 1, segmenterKind = "APD", segments = 4, k = 100),
-      ),
-      hnsw: HnswParams = HnswParams(m = 16, efConstruction = 120, efSearch = 150),
-      confidence: Double = 0.95,
-      numExecutors: Int = 8,
-      sampleSize: Int = 20000,
-      workDir: String = "target/bench-work",
+  private val useCases = Seq(
+    UseCase(Datasets.pymkLite, shards = 4, segmenterKind = "RS", segments = 2, k = 100),
+    UseCase(Datasets.peopleLite, shards = 4, segmenterKind = "RS", segments = 2, k = 50),
+    UseCase(Datasets.nearDupeLite, shards = 1, segmenterKind = "RS", segments = 1, k = 100),
+    UseCase(Datasets.groupsLite, shards = 1, segmenterKind = "APD", segments = 4, k = 100),
   )
+  private val hnsw         = HnswParams(m = 16, efConstruction = 120, efSearch = 150)
+  private val confidence   = 0.95
+  private val numExecutors = 8
+  private val sampleSize   = 20000
 
   /** Measured row feeding both Table 8 (times) and Table 9 (recall). */
   final case class Row(name: String, shards: Int, dim: Int, indexSize: Long,
                        buildMillis: Long, querySize: Long, queryMillis: Long,
                        k: Int, recallAtK: Double)
 
-  def run(spark: SparkSession, cfg: Config): (Seq[Row], Seq[ExpTable]) = {
+  /** Runs every use case, writing indexes and checkpoints under `workDir`. */
+  def run(spark: SparkSession, workDir: String): (Seq[Row], Seq[ExpTable]) = {
     // Warm up JIT/Spark before any timed pipeline, so the first use case
     // does not absorb the compilation cost the others skip.
     locally {
       val warm = Datasets.groupsLite.copy(name = "warmup", n = 2000, nQueries = 50)
       val meta = Indexer.build(warm.data(spark), warm.dim, 2, new RandomSegmenter(2),
-        Distance.Euclidean, cfg.hnsw, s"${cfg.workDir}/real/warmup", cfg.numExecutors)
-      Querier.search(warm.queries(spark), meta, 10, 50, Some(cfg.confidence),
-        cfg.numExecutors).count()
+        Distance.Euclidean, hnsw, s"$workDir/real/warmup", numExecutors)
+      Querier.search(warm.queries(spark), meta, 10, 50, Some(confidence), numExecutors).count()
     }
-    val rows = cfg.useCases.map { uc =>
+    val rows = useCases.map { uc =>
       val h = new Harness(spark, uc.dataset, uc.k)
       val ds = h.ds
       val seg = SegmenterLearner.segmenter(uc.segmenterKind, uc.segments, uc.alpha, ds.dim,
-        SegmenterLearner.sample(h.data, cfg.sampleSize, ds.seed + 9), ds.seed + 17)
-      val (meta, buildMs) = h.build(uc.shards, seg, cfg.hnsw,
-        s"${cfg.workDir}/real/${ds.name}", cfg.numExecutors)
-      val (res, queryMs) = h.query(meta, uc.k, cfg.hnsw.efSearch, Some(cfg.confidence),
-        cfg.numExecutors, Some(s"${cfg.workDir}/real/${ds.name}-ckpt"))
+        SegmenterLearner.sample(h.data, sampleSize, ds.seed + 9), ds.seed + 17)
+      val (meta, buildMs) = h.build(uc.shards, seg, hnsw, s"$workDir/real/${ds.name}", numExecutors)
+      val (res, queryMs) = h.query(meta, uc.k, hnsw.efSearch, Some(confidence), numExecutors,
+        Some(s"$workDir/real/${ds.name}-ckpt"))
       val rec = Recall.atK(res, h.truth, uc.k)
       res.unpersist(); h.unpersist()
       Row(ds.name, uc.shards, ds.dim, h.n, buildMs, h.nQueries, queryMs, uc.k, rec)

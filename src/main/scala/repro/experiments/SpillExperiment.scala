@@ -15,33 +15,31 @@ import repro.segment.{RandomSegmenter, Segmenter, SegmenterLearner}
   */
 object SpillExperiment {
 
-  final case class Config(
-      dataset: DatasetSpec = Datasets.groupsLite,
-      segmentCounts: Seq[Int] = Seq(1, 4, 8, 16),
-      spillPercents: Seq[Int] = Seq(10, 20, 30),
-      k: Int = 15,
-      hnsw: HnswParams = HnswParams(m = 16, efConstruction = 120, efSearch = 60),
-      numExecutors: Int = 8,
-      sampleSize: Int = 20000,
-      workDir: String = "target/bench-work",
-  )
+  private val dataset       = Datasets.groupsLite
+  private val segmentCounts = Seq(1, 4, 8, 16)
+  private val spillPercents = Seq(10, 20, 30)
+  private val k             = 15
+  private val hnsw          = HnswParams(m = 16, efConstruction = 120, efSearch = 60)
+  private val numExecutors  = 8
+  private val sampleSize    = 20000
 
   /** One sweep point: recall@15 and queries/second for both spill modes. */
   final case class Row(segments: Int, spillPct: Int,
                        physRecall: Double, physQps: Double,
                        virtRecall: Double, virtQps: Double)
 
-  def run(spark: SparkSession, cfg: Config): (Seq[Row], ExpTable) = {
-    val h = new Harness(spark, cfg.dataset, cfg.k)
+  /** Runs the sweep, writing its indexes under `workDir`. */
+  def run(spark: SparkSession, workDir: String): (Seq[Row], ExpTable) = {
+    val h = new Harness(spark, dataset, k)
     val ds = h.ds
-    val sample = SegmenterLearner.sample(h.data, cfg.sampleSize, ds.seed + 9)
-    val work = s"${cfg.workDir}/${ds.name}-spill"
+    val sample = SegmenterLearner.sample(h.data, sampleSize, ds.seed + 9)
+    val work = s"$workDir/${ds.name}-spill"
 
     def measure(tag: String, seg: Segmenter): (Double, Double) = {
-      val (meta, _) = h.build(1, seg, cfg.hnsw, s"$work/$tag", cfg.numExecutors)
+      val (meta, _) = h.build(1, seg, hnsw, s"$work/$tag", numExecutors)
       def once(): (Double, Long) = {
-        val (res, ms) = h.query(meta, cfg.k, cfg.hnsw.efSearch, None, cfg.numExecutors)
-        val rec = Recall.atK(res, h.truth, cfg.k)
+        val (res, ms) = h.query(meta, k, hnsw.efSearch, None, numExecutors)
+        val rec = Recall.atK(res, h.truth, k)
         res.unpersist()
         (rec, ms)
       }
@@ -51,14 +49,14 @@ object SpillExperiment {
       (rec, h.nQueries.toDouble / (math.min(ms1, ms2) / 1000.0))
     }
 
-    val rows = cfg.segmentCounts.flatMap {
+    val rows = segmentCounts.flatMap {
       case 1 =>
         // Unsegmented baseline row (segments = 1, spill 0%): one HNSW index;
         // physical and virtual spill coincide by construction.
         val (rec, qps) = measure("seg1", new RandomSegmenter(1))
         Seq(Row(1, 0, rec, qps, rec, qps))
       case m =>
-        cfg.spillPercents.map { pct =>
+        spillPercents.map { pct =>
           val alpha = pct / 200.0 // spill% = 2α·100
           val virt = SegmenterLearner.learn("APD", m, alpha, ds.dim, sample, ds.seed + 17)
           val phys = virt.withPhysicalSpill(true)

@@ -1,9 +1,9 @@
 package repro.lanns
 
 import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream, File,
-                FileInputStream, FileOutputStream, IOException, InputStream, ObjectInputStream,
-                ObjectOutputStream}
-import java.nio.file.Paths
+                FileInputStream, IOException, InputStream, ObjectInputStream, ObjectOutputStream,
+                OutputStream}
+import java.nio.file.{Files, Paths, StandardCopyOption}
 import org.apache.spark.sql.Dataset
 import repro.core.{Distance, HnswIndex, HnswParams, IndexMeta, TaggedRow, VecRow}
 import repro.segment.Segmenter
@@ -45,16 +45,19 @@ object LannsMeta {
   /** Persist metadata from the driver (§5.2: "the associated metadata and
     * segmenter information is coupled with the index and written from the
     * driver"). Index paths are stored relative to `indexDir`, so a copied
-    * or moved index directory reads its own files.
+    * or moved index directory reads its own files. The file is replaced
+    * atomically ([[Indexer.writeFile]]): a failed write leaves the previous
+    * metadata in place.
     */
   def write(meta: LannsMeta, indexDir: String): Unit = {
-    new File(indexDir).mkdirs()
     val dir = Paths.get(indexDir).toAbsolutePath
     val relative = meta.copy(indexes = meta.indexes.map(im =>
       im.copy(path = dir.relativize(Paths.get(im.path).toAbsolutePath).toString)))
-    val out = new ObjectOutputStream(new FileOutputStream(new File(indexDir, FileName)))
-    try out.writeObject(relative)
-    finally out.close()
+    Indexer.writeFile(new File(indexDir, FileName).getPath, "index metadata") { out =>
+      val obj = new ObjectOutputStream(out)
+      obj.writeObject(relative)
+      obj.flush()
+    }
   }
 }
 
@@ -92,7 +95,8 @@ object Indexer {
       outDir: String,
       numExecutors: Int,
   ): LannsMeta = {
-    require(numShards >= 1 && numExecutors >= 1)
+    require(numShards >= 1, s"numShards must be >= 1, got $numShards")
+    require(numExecutors >= 1, s"numExecutors must be >= 1, got $numExecutors")
     val spark = data.sparkSession
     import spark.implicits._
 
@@ -124,14 +128,11 @@ object Indexer {
   def indexPath(outDir: String, shard: Int, segment: Int): String =
     s"$outDir/shard_$shard/segment_$segment.hnsw"
 
-  /** Serialize one index to the (HDFS-substitute) filesystem, executor-side. */
-  def writeIndexFile(idx: HnswIndex, path: String): Unit = {
-    val f = new File(path)
-    Option(f.getParentFile).foreach(_.mkdirs())
-    val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(f)))
-    try idx.writeTo(out)
-    finally out.close()
-  }
+  /** Serialize one index to the (HDFS-substitute) filesystem, executor-side,
+    * replacing the file atomically ([[writeFile]]).
+    */
+  def writeIndexFile(idx: HnswIndex, path: String): Unit =
+    writeFile(path, "index file")(out => idx.writeTo(new DataOutputStream(out)))
 
   /** Load one serialized index (executor-side at query time). Any failure
     * is rethrown as an `IOException` that names `path`.
@@ -150,4 +151,27 @@ object Indexer {
     } catch {
       case e: Exception => throw new IOException(s"cannot load $what $path: ${e.getMessage}", e)
     }
+
+  /** Write the file at `path` with `write`, creating its directory, so that
+    * `path` holds either its previous content or all of the new one: `write`
+    * fills a fresh temporary file in the same directory (unique, so two
+    * attempts at one task never share it), which is then moved over `path`
+    * in one atomic rename. On any failure the temporary file is deleted and
+    * the failure rethrown as an `IOException` that names `"$what $path"`.
+    */
+  private[lanns] def writeFile(path: String, what: String)(write: OutputStream => Unit): Unit = {
+    val target = Paths.get(path).toAbsolutePath
+    Files.createDirectories(target.getParent)
+    val tmp = Files.createTempFile(target.getParent, s".${target.getFileName}.", ".tmp")
+    try {
+      val out = new BufferedOutputStream(Files.newOutputStream(tmp))
+      try write(out)
+      finally out.close()
+      Files.move(tmp, target, StandardCopyOption.ATOMIC_MOVE, StandardCopyOption.REPLACE_EXISTING)
+    } catch {
+      case e: Exception =>
+        Files.deleteIfExists(tmp)
+        throw new IOException(s"cannot write $what $path: ${e.getMessage}", e)
+    }
+  }
 }

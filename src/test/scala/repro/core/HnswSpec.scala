@@ -110,6 +110,23 @@ class HnswSpec extends AnyFunSuite {
   test("adjacency degree never exceeds 2*m") {
     val idx = build(clustered(1000, 8, 8, 12L), 8)
     assert(idx.stats.maxDegreePerLayer.max <= 2 * params.m)
+    // Layer 0 is capped at 2m and every upper layer at m, after a round
+    // trip too. Small m gives many upper layers, tight clusters full lists.
+    val built = Seq(
+      idx,
+      build(clustered(3000, 4, 3, 21L), 4, params.copy(m = 4)),
+      build(clustered(2000, 2, 1, 22L), 2, params.copy(m = 3, efConstruction = 30)),
+      HnswIndex.build(16, Distance.Cosine, params.copy(m = 5), clustered(1500, 16, 20, 23L).iterator),
+    )
+    for (b <- built; i <- Seq(b, HnswIndex.fromBytes(b.toBytes))) {
+      val m = i.params.m
+      val maxDeg = i.stats.maxDegreePerLayer
+      assert(maxDeg.head <= 2 * m, maxDeg)
+      assert(maxDeg.tail.forall(_ <= m), maxDeg)
+    }
+    // the caps are reached, so the assertions above bind
+    assert(built.forall(b => b.stats.maxDegreePerLayer.head == 2 * b.params.m))
+    assert(built.forall(b => b.stats.maxDegreePerLayer.lift(1).contains(b.params.m)))
   }
 
   test("level distribution decays roughly geometrically") {

@@ -3,7 +3,7 @@ package repro.lanns
 import java.nio.file.Files
 import repro.{SparkSpec, VectorData}
 import repro.core.{Distance, HnswParams, VecRow}
-import repro.segment.{RandomSegmenter, SegmenterLearner}
+import repro.segment.{RandomSegmenter, Segmenter, SegmenterLearner}
 
 class IndexerSpec extends SparkSpec {
 
@@ -81,6 +81,33 @@ class IndexerSpec extends SparkSpec {
     Files.write(path, java.util.Arrays.copyOf(bytes, bytes.length / 2))
     val e = intercept[java.io.IOException](LannsMeta.read(dir))
     assert(e.getMessage.contains(path.toString), e.getMessage)
+  }
+
+  test("a failed meta write leaves the previous meta file and no temporary file") {
+    val data = VectorData.clustered(spark, 200, 8, 4, seed = 14L)
+    val dir = tmpDir()
+    val meta = Indexer.build(data, 8, 1, new RandomSegmenter(2), Distance.Euclidean, params, dir, 2)
+    val unserializable = new Segmenter {
+      val state = new Object // not Serializable
+      def numSegments: Int = 2
+      def routeData(id: Long, vec: Array[Float]): Array[Int] = Array(0)
+      def routeQuery(vec: Array[Float]): Array[Int] = Array(0, 1)
+    }
+    intercept[java.io.IOException](LannsMeta.write(meta.copy(segmenter = unserializable), dir))
+    val back = LannsMeta.read(dir)
+    assert(back.segmenter.isInstanceOf[RandomSegmenter])
+    assert(back.copy(segmenter = meta.segmenter) === meta)
+    val files = Files.walk(java.nio.file.Paths.get(dir)).filter(Files.isRegularFile(_)).toArray
+      .map(_.toString).toSet
+    assert(files === meta.indexes.map(_.path).toSet + java.nio.file.Paths.get(dir, LannsMeta.FileName).toString)
+  }
+
+  test("build names a shard or executor count below 1") {
+    val data = VectorData.clustered(spark, 10, 8, 2, seed = 15L)
+    def build(shards: Int, executors: Int) = intercept[IllegalArgumentException](
+      Indexer.build(data, 8, shards, new RandomSegmenter(1), Distance.Euclidean, params, tmpDir(), executors))
+    assert(build(0, 1).getMessage.contains("numShards must be >= 1, got 0"))
+    assert(build(1, 0).getMessage.contains("numExecutors must be >= 1, got 0"))
   }
 
   test("metadata round-trips through the driver-written meta file") {
