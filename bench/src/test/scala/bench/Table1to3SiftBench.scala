@@ -17,7 +17,7 @@ import repro.experiments.AnnTableExperiment
 class Table1to3SiftBench extends SparkSpec {
 
   private lazy val outcome =
-    AnnTableExperiment.run(spark, AnnTableExperiment.sift("target/bench-work/sift"))
+    AnnTableExperiment.run(spark, AnnTableExperiment.sift, "target/bench-work/sift")
 
   private def results = outcome._1
 

@@ -9,7 +9,7 @@ import repro.experiments.AnnTableExperiment
 class Table4to6GistBench extends SparkSpec {
 
   private lazy val outcome =
-    AnnTableExperiment.run(spark, AnnTableExperiment.gist("target/bench-work/gist"))
+    AnnTableExperiment.run(spark, AnnTableExperiment.gist, "target/bench-work/gist")
 
   private def results = outcome._1
 

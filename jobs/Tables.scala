@@ -14,8 +14,8 @@ import repro.experiments.{AnnTableExperiment, ExpTable, RealWorldExperiment, Spi
   */
 object Tables {
   private val runs: Map[String, (SparkSession, String) => Seq[ExpTable]] = Map(
-    "sift" -> ((spark, dir) => AnnTableExperiment.run(spark, AnnTableExperiment.sift(dir))._2),
-    "gist" -> ((spark, dir) => AnnTableExperiment.run(spark, AnnTableExperiment.gist(dir))._2),
+    "sift" -> ((spark, dir) => AnnTableExperiment.run(spark, AnnTableExperiment.sift, dir)._2),
+    "gist" -> ((spark, dir) => AnnTableExperiment.run(spark, AnnTableExperiment.gist, dir)._2),
     "spill" -> ((spark, dir) => Seq(SpillExperiment.run(spark, dir)._2)),
     "real" -> ((spark, dir) => RealWorldExperiment.run(spark, dir)._2),
   )

@@ -70,17 +70,4 @@ object VectorData {
       VecRow(id, Array.fill(dim)((r.nextDouble() * 2 - 1).toFloat))
     }
   }
-
-  /** Anisotropic Gaussian: axis `i` has std `stds(i)`. Used to validate that
-    * the APD segmenter finds the dominant variance direction.
-    */
-  def anisotropic(spark: SparkSession, n: Long, stds: Array[Double],
-                  seed: Long = 13L): Dataset[VecRow] = {
-    import spark.implicits._
-    val s = stds // capture a serializable copy
-    spark.range(n).as[Long].map { id =>
-      val r = new java.util.Random(mix(seed, id))
-      VecRow(id, Array.tabulate(s.length)(i => (r.nextGaussian() * s(i)).toFloat))
-    }
-  }
 }

@@ -94,7 +94,7 @@ final class HnswIndex private (
   private var topLevel: Int = -1
 
   private val rng = new java.util.Random(params.seed)
-  private val mL  = 1.0 / math.log(math.max(2, params.m).toDouble)
+  private val mL  = HnswIndex.levelMultiplier(params.m)
 
   /** Number of indexed vectors. */
   def size: Int = n
@@ -307,7 +307,7 @@ final class HnswIndex private (
   def add(id: Long, v: Array[Float]): Unit = {
     if (loaded) throw new IllegalStateException("an index read from a file is read-only")
     require(v.length == dim, s"vector dim ${v.length} != index dim $dim")
-    val level = math.floor(-math.log(rng.nextDouble() + 1e-300) * mL).toInt
+    val level = HnswIndex.levelOf(rng.nextDouble(), mL)
     val node  = appendNode(id, level)
     val qOff  = node * dim
     System.arraycopy(distance.prepare(v), 0, vecs, qOff, dim)
@@ -413,6 +413,15 @@ object HnswIndex {
   private final val Unknown = -1
   private final val Pruned  = 0
   private final val Kept    = 1
+
+  /** mL = 1 / ln(max(2, m)), the level multiplier of an index of this `m`. */
+  private def levelMultiplier(m: Int): Double = 1.0 / math.log(math.max(2, m).toDouble)
+
+  /** The level `add` draws from a uniform `u` in [0, 1): ⌊−ln(u)·mL⌋. At
+    * u = 0 it is the highest level an index can hold (249 at m 16), the
+    * bound `readFrom` puts on a file's top level.
+    */
+  private def levelOf(u: Double, mL: Double): Int = math.floor(-math.log(u + 1e-300) * mL).toInt
 
   /** Per-layer shape of an index: `nodesPerLayer(l)` nodes reach layer `l`,
     * and no list on layer `l` is longer than `maxDegreePerLayer(l)`.
@@ -520,9 +529,9 @@ object HnswIndex {
   }
 
   /** Deserialize a read-only index written with [[HnswIndex.writeTo]].
-    * Throws `IllegalArgumentException` on a bad magic or header, a node above
-    * the top level, an entry point below it, or a link out of the index or
-    * below its layer.
+    * Throws `IllegalArgumentException` on a bad magic or header (among them
+    * a top level above any `add` can draw), a node above the top level, an
+    * entry point below it, or a link out of the index or below its layer.
     */
   def readFrom(in: DataInputStream): HnswIndex = {
     val magic = in.readInt()
@@ -534,6 +543,8 @@ object HnswIndex {
     require(dim >= 0 && n >= 0, s"bad index header: dim $dim, size $n")
     if (n == 0) require(entry == -1 && top == -1, s"bad index header: size 0, entry $entry, top level $top")
     else require(entry >= 0 && entry < n, s"bad index header: entry $entry of $n nodes")
+    val maxLevel = levelOf(0.0, levelMultiplier(params.m))
+    require(top <= maxLevel, s"bad index header: top level $top above $maxLevel, the highest add draws at m ${params.m}")
     val idx = new HnswIndex(dim, dist, params)
     idx.entry = entry; idx.topLevel = top
     idx.loaded = true

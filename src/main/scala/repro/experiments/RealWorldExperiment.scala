@@ -1,10 +1,8 @@
 package repro.experiments
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{Distance, HnswParams}
 import repro.eval.Recall
-import repro.lanns.{Indexer, Querier}
-import repro.segment.{RandomSegmenter, SegmenterLearner}
+import repro.segment.RandomSegmenter
 
 /** Tables 8 & 9: end-to-end build time, query time, and recall on the four
   * real-world stand-ins (PYMK, People, NearDupe, Groups), each with its
@@ -23,7 +21,6 @@ object RealWorldExperiment {
       segmenterKind: String, // "RS" | "RH" | "APD"
       segments: Int,
       k: Int,
-      alpha: Double = 0.15,
   )
 
   private val useCases = Seq(
@@ -32,10 +29,7 @@ object RealWorldExperiment {
     UseCase(Datasets.nearDupeLite, shards = 1, segmenterKind = "RS", segments = 1, k = 100),
     UseCase(Datasets.groupsLite, shards = 1, segmenterKind = "APD", segments = 4, k = 100),
   )
-  private val hnsw         = HnswParams(m = 16, efConstruction = 120, efSearch = 150)
-  private val confidence   = 0.95
   private val numExecutors = 8
-  private val sampleSize   = 20000
 
   /** Measured row feeding both Table 8 (times) and Table 9 (recall). */
   final case class Row(name: String, shards: Int, dim: Int, indexSize: Long,
@@ -46,23 +40,20 @@ object RealWorldExperiment {
   def run(spark: SparkSession, workDir: String): (Seq[Row], Seq[ExpTable]) = {
     // Warm up JIT/Spark before any timed pipeline, so the first use case
     // does not absorb the compilation cost the others skip.
-    locally {
-      val warm = Datasets.groupsLite.copy(name = "warmup", n = 2000, nQueries = 50)
-      val meta = Indexer.build(warm.data(spark), warm.dim, 2, new RandomSegmenter(2),
-        Distance.Euclidean, hnsw, s"$workDir/real/warmup", numExecutors)
-      Querier.search(warm.queries(spark), meta, 10, 50, Some(confidence), numExecutors).count()
+    val warm = Datasets.groupsLite.copy(name = "warmup", n = 2000, nQueries = 50)
+    Harness.run(spark, warm, 10) { h =>
+      val (meta, _) = h.build(2, new RandomSegmenter(2), Harness.Hnsw, s"$workDir/real/warmup", numExecutors)
+      h.query(meta, numExecutors)(_ => ())
     }
     val rows = useCases.map { uc =>
-      val h = new Harness(spark, uc.dataset, uc.k)
-      val ds = h.ds
-      val seg = SegmenterLearner.segmenter(uc.segmenterKind, uc.segments, uc.alpha, ds.dim,
-        SegmenterLearner.sample(h.data, sampleSize, ds.seed + 9), ds.seed + 17)
-      val (meta, buildMs) = h.build(uc.shards, seg, hnsw, s"$workDir/real/${ds.name}", numExecutors)
-      val (res, queryMs) = h.query(meta, uc.k, hnsw.efSearch, Some(confidence), numExecutors,
-        Some(s"$workDir/real/${ds.name}-ckpt"))
-      val rec = Recall.atK(res, h.truth, uc.k)
-      res.unpersist(); h.unpersist()
-      Row(ds.name, uc.shards, ds.dim, h.n, buildMs, h.nQueries, queryMs, uc.k, rec)
+      Harness.run(spark, uc.dataset, uc.k) { h =>
+        val name = uc.dataset.name
+        val seg = h.segmenter(uc.segmenterKind, uc.segments)
+        val (meta, buildMs) = h.build(uc.shards, seg, Harness.Hnsw, s"$workDir/real/$name", numExecutors)
+        val (rec, queryMs) = h.query(meta, numExecutors, Some(s"$workDir/real/$name-ckpt"))(
+          Recall.atK(_, h.truth, uc.k))
+        Row(name, uc.shards, h.ds.dim, h.n, buildMs, h.nQueries, queryMs, uc.k, rec)
+      }
     }
 
     val timesT = ExpTable(

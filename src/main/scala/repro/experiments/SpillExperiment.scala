@@ -1,7 +1,6 @@
 package repro.experiments
 
 import org.apache.spark.sql.SparkSession
-import repro.core.HnswParams
 import repro.eval.Recall
 import repro.segment.{RandomSegmenter, Segmenter, SegmenterLearner}
 
@@ -19,9 +18,8 @@ object SpillExperiment {
   private val segmentCounts = Seq(1, 4, 8, 16)
   private val spillPercents = Seq(10, 20, 30)
   private val k             = 15
-  private val hnsw          = HnswParams(m = 16, efConstruction = 120, efSearch = 60)
+  private val hnsw          = Harness.Hnsw.copy(efSearch = 60)
   private val numExecutors  = 8
-  private val sampleSize    = 20000
 
   /** One sweep point: recall@15 and queries/second for both spill modes. */
   final case class Row(segments: Int, spillPct: Int,
@@ -30,26 +28,25 @@ object SpillExperiment {
 
   /** Runs the sweep, writing its indexes under `workDir`. */
   def run(spark: SparkSession, workDir: String): (Seq[Row], ExpTable) = {
-    val h = new Harness(spark, dataset, k)
-    val ds = h.ds
-    val sample = SegmenterLearner.sample(h.data, sampleSize, ds.seed + 9)
-    val work = s"$workDir/${ds.name}-spill"
+    val rows = Harness.run(spark, dataset, k)(sweep(_, s"$workDir/${dataset.name}-spill"))
+    val table = ExpTable(
+      s"Spill comparison on ${dataset.name}, APD segmentation (paper Table 7 shape)",
+      Seq("Segments", "Spill", "Phys R@15", "Phys QPS", "Virt R@15", "Virt QPS"),
+      rows.map(r => Seq(r.segments.toString, s"${r.spillPct}%",
+        Fmt.f4(r.physRecall), Fmt.f2(r.physQps), Fmt.f4(r.virtRecall), Fmt.f2(r.virtQps))),
+    )
+    (rows, table)
+  }
 
+  private def sweep(h: Harness, work: String): Seq[Row] = {
+    // Recall@15 and QPS (from the better wall time of two passes).
     def measure(tag: String, seg: Segmenter): (Double, Double) = {
       val (meta, _) = h.build(1, seg, hnsw, s"$work/$tag", numExecutors)
-      def once(): (Double, Long) = {
-        val (res, ms) = h.query(meta, k, hnsw.efSearch, None, numExecutors)
-        val rec = Recall.atK(res, h.truth, k)
-        res.unpersist()
-        (rec, ms)
-      }
-      // QPS is the max of two runs (min wall time) to damp JIT/GC noise.
-      val (rec, ms1) = once()
-      val (_, ms2) = once()
-      (rec, h.nQueries.toDouble / (math.min(ms1, ms2) / 1000.0))
+      val (rec, ms) = h.bestOfTwo(meta, numExecutors)(Recall.atK(_, h.truth, k))
+      (rec, h.nQueries.toDouble / (ms / 1000.0))
     }
 
-    val rows = segmentCounts.flatMap {
+    segmentCounts.flatMap {
       case 1 =>
         // Unsegmented baseline row (segments = 1, spill 0%): one HNSW index;
         // physical and virtual spill coincide by construction.
@@ -58,20 +55,13 @@ object SpillExperiment {
       case m =>
         spillPercents.map { pct =>
           val alpha = pct / 200.0 // spill% = 2α·100
-          val virt = SegmenterLearner.learn("APD", m, alpha, ds.dim, sample, ds.seed + 17)
+          val virt = SegmenterLearner.learnAPD(h.sample, h.ds.dim,
+            Integer.numberOfTrailingZeros(m), alpha, h.segmenterSeed)
           val phys = virt.withPhysicalSpill(true)
           val (pr, pq) = measure(s"seg${m}_s${pct}_phys", phys)
           val (vr, vq) = measure(s"seg${m}_s${pct}_virt", virt)
           Row(m, pct, pr, pq, vr, vq)
         }
     }
-
-    val table = ExpTable(
-      s"Spill comparison on ${ds.name}, APD segmentation (paper Table 7 shape)",
-      Seq("Segments", "Spill", "Phys R@15", "Phys QPS", "Virt R@15", "Virt QPS"),
-      rows.map(r => Seq(r.segments.toString, s"${r.spillPct}%",
-        Fmt.f4(r.physRecall), Fmt.f2(r.physQps), Fmt.f4(r.virtRecall), Fmt.f2(r.virtQps))),
-    )
-    (rows, table)
   }
 }

@@ -24,26 +24,20 @@ object SegmenterLearner {
   }
 
   /** The segmenter of `kind` — RS, RH or APD (§4.3) — with `segments`
-    * segments per shard. RS needs no learning and never evaluates `sample`.
+    * segments per shard. RS takes any segment count and never evaluates
+    * `sample`; RH and APD learn a tree of depth log2(`segments`), so they
+    * need a power of two >= 2.
     */
   def segmenter(kind: String, segments: Int, alpha: Double, dim: Int,
-                sample: => Array[Array[Float]], seed: Long): Segmenter =
-    if (kind == "RS") new RandomSegmenter(segments, seed)
-    else learn(kind, segments, alpha, dim, sample, seed)
-
-  /** Learn the RH or APD tree with `segments` leaves, which must be a power
-    * of two >= 2 (the tree has depth log2(`segments`)).
-    */
-  def learn(kind: String, segments: Int, alpha: Double, dim: Int,
-            sample: Array[Array[Float]], seed: Long): HyperplaneSegmenter = {
-    require(segments >= 2 && Integer.bitCount(segments) == 1,
-      s"$kind needs a power-of-two segment count >= 2, got $segments")
-    val depth = Integer.numberOfTrailingZeros(segments)
-    kind match {
-      case "RH"  => learnRH(sample, dim, depth, alpha, seed)
-      case "APD" => learnAPD(sample, dim, depth, alpha, seed)
-      case other => throw new IllegalArgumentException(s"unknown segmenter kind $other")
-    }
+                sample: => Array[Array[Float]], seed: Long): Segmenter = kind match {
+    case "RS" => new RandomSegmenter(segments, seed)
+    case "RH" | "APD" =>
+      require(segments >= 2 && Integer.bitCount(segments) == 1,
+        s"$kind needs a power-of-two segment count >= 2, got $segments")
+      val depth = Integer.numberOfTrailingZeros(segments)
+      if (kind == "RH") learnRH(sample, dim, depth, alpha, seed)
+      else learnAPD(sample, dim, depth, alpha, seed)
+    case other => throw new IllegalArgumentException(s"unknown segmenter kind $other")
   }
 
   /** Learn a Random Hyperplane (RH) segmenter of `depth` levels: each node

@@ -72,16 +72,4 @@ class VectorDataSpec extends SparkSpec {
     assert(flat.min < -0.8f && flat.max > 0.8f)
     assert(flat.forall(x => x >= -1f && x <= 1f))
   }
-
-  test("anisotropic respects per-axis stds") {
-    val rows = VectorData.anisotropic(spark, 2000, Array(0.1, 5.0), seed = 8L).collect()
-    def std(xs: Seq[Double]): Double = {
-      val m = xs.sum / xs.size
-      math.sqrt(xs.map(x => (x - m) * (x - m)).sum / xs.size)
-    }
-    val s0 = std(rows.map(_.vec(0).toDouble).toSeq)
-    val s1 = std(rows.map(_.vec(1).toDouble).toSeq)
-    assert(s0 < 0.2, s"axis0 std $s0")
-    assert(s1 > 4.0 && s1 < 6.0, s"axis1 std $s1")
-  }
 }

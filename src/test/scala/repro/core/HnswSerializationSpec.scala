@@ -181,6 +181,39 @@ class HnswSerializationSpec extends AnyFunSuite {
     rejects(s"node $ground of level 0 is linked to on layer 1")(_.putInt(at.listAt(upper)(1) + 4, ground))
   }
 
+  test("a top level above any add can draw is rejected before anything is allocated") {
+    val m16 = params.copy(m = 16)
+    // A one-node index of dimension 1 at `level`, with an empty list on each
+    // of the node's layers unless `header` asks for the first ~70 bytes only.
+    def oneNode(level: Int, header: Boolean = false): Array[Byte] = {
+      val bos = new java.io.ByteArrayOutputStream()
+      val out = new java.io.DataOutputStream(bos)
+      out.write(HnswIndex.empty(1, Distance.Euclidean, m16).toBytes, 0, 4) // magic
+      out.writeInt(1); out.writeUTF(Distance.Euclidean.name)
+      out.writeInt(m16.m); out.writeInt(m16.efConstruction); out.writeInt(m16.efSearch)
+      out.writeLong(m16.seed)
+      out.writeInt(1); out.writeInt(0); out.writeInt(level) // size, entry, top level
+      out.writeLong(7L); out.writeInt(level); out.writeFloat(0.5f)
+      if (!header) (0 to level).foreach(_ => out.writeInt(0))
+      out.flush()
+      bos.toByteArray
+    }
+    assert(HnswIndex.fromBytes(oneNode(249)).maxLevel === 249) // the highest add draws at m 16
+    val huge = oneNode(20000000, header = true)
+    assert(huge.length < 80)
+    for ((level, bytes) <- Seq(250 -> oneNode(250), 20000000 -> huge)) {
+      val e = intercept[IllegalArgumentException](HnswIndex.fromBytes(bytes))
+      assert(e.getMessage.contains(s"top level $level above 249"), e.getMessage)
+    }
+    val file = java.nio.file.Files.createTempFile("top-level", ".hnsw")
+    try {
+      java.nio.file.Files.write(file, huge)
+      val e = intercept[java.io.IOException](repro.lanns.Indexer.readIndexFile(file.toString))
+      assert(e.getMessage.contains(file.toString) && e.getMessage.contains("top level 20000000"),
+        e.getMessage)
+    } finally java.nio.file.Files.delete(file)
+  }
+
   test("external ids round-trip as written (not re-numbered)") {
     val idx = HnswIndex.empty(2, Distance.Euclidean, params)
     Seq(1000L, -5L, Long.MaxValue).zipWithIndex.foreach { case (id, i) =>
