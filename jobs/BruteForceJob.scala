@@ -13,6 +13,12 @@ import repro.lanns.SparkBruteForce
   */
 object BruteForceJob {
   def main(args: Array[String]): Unit = {
+    val spark = SparkSession.builder().appName("lanns-brute-force").getOrCreate()
+    try run(spark, args) finally spark.stop()
+  }
+
+  /** Runs the search `args` describe in `spark`, writing its result parquet. */
+  def run(spark: SparkSession, args: Array[String]): Unit = {
     require(args.nonEmpty, "usage: BruteForceJob <outPath> [n] [dim] [nQueries] [k] [partitions]")
     val outPath = args(0)
     val n = arg(args, 1, "40000").toLong
@@ -21,13 +27,11 @@ object BruteForceJob {
     val k = arg(args, 4, "100").toInt
     val partitions = arg(args, 5, "16").toInt
 
-    val spark = SparkSession.builder().appName("lanns-brute-force").getOrCreate()
     val data = JobInputs.data(spark, n, dim)
     val queries = JobInputs.queries(spark, n, dim, nQueries)
     val res = SparkBruteForce.search(data, queries, k, Distance.Euclidean, partitions,
       Some(s"$outPath-ckpt"))
     res.write.mode("overwrite").parquet(outPath)
     println(s"wrote ${spark.read.parquet(outPath).count()} ground-truth rows -> $outPath")
-    spark.stop()
   }
 }

@@ -4,19 +4,19 @@ import java.io.{DataInputStream, DataOutputStream, ByteArrayInputStream, ByteArr
 import java.nio.ByteBuffer
 
 /** Tunable parameters of an HNSW index (Malkov & Yashunin 2016, §3 of the
-  * LANNS paper).
+  * LANNS paper). The defaults are §6.1's setup, which the tables and jobs use.
   *
   * @param m              max connections per node on layers > 0; layer 0
   *                       allows 2·m (the standard maxM0 rule)
   * @param efConstruction beam width of the candidate search during insertion
-  * @param efSearch       default beam width at query time (overridable per call)
+  * @param efSearch       beam width at query time, stored with the index
   * @param seed           seed of the level-assignment RNG, so builds are
   *                       deterministic given an insertion order
   */
 final case class HnswParams(
     m: Int = 16,
-    efConstruction: Int = 100,
-    efSearch: Int = 64,
+    efConstruction: Int = 120,
+    efSearch: Int = 150,
     seed: Long = 42L,
 )
 
@@ -337,14 +337,15 @@ final class HnswIndex private (
   }
 
   /** Top-`k` approximate nearest neighbors of `q`, sorted by ascending
-    * distance (ties by external id). `ef` defaults to
-    * `max(params.efSearch, k)`. Safe to call from several threads at once
+    * distance (ties by external id), from a beam of width `max(ef, k)`; an
+    * `ef` below 1 is rejected. Safe to call from several threads at once
     * (see the class doc).
     */
-  def search(q: Array[Float], k: Int, ef: Int = -1): Array[Neighbor] = {
+  def search(q: Array[Float], k: Int, ef: Int = params.efSearch): Array[Neighbor] = {
+    require(ef >= 1, s"ef must be >= 1, got $ef")
     if (n == 0) return Array.empty
     require(q.length == dim, s"query dim ${q.length} != index dim $dim")
-    val beam = math.max(if (ef > 0) ef else params.efSearch, k)
+    val beam = math.max(ef, k)
     val qp = distance.prepare(q)
     val s  = scratch.get()
     var ep = entry

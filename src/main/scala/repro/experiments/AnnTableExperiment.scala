@@ -1,6 +1,7 @@
 package repro.experiments
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.HnswParams
 import repro.eval.Recall
 import repro.segment.RandomSegmenter
 
@@ -52,7 +53,7 @@ object AnnTableExperiment {
     def recallAtKs(res: DataFrame) = Recall.atKs(res, h.truth, ks)
 
     // ---- HNSW baseline: one unpartitioned index, one slot ----------------
-    val (hnswMeta, hnswBuildMs) = h.build(1, new RandomSegmenter(1), Harness.Hnsw, s"$work/hnsw", 1)
+    val (hnswMeta, hnswBuildMs) = h.build(1, new RandomSegmenter(1), HnswParams(), s"$work/hnsw", 1)
     val (hnswRecall, hnswQueryMs) = h.bestOfTwo(hnswMeta, 1)(recallAtKs)
 
     h.sample // drawn before the timed learns below, so they time learning alone
@@ -68,7 +69,7 @@ object AnnTableExperiment {
 
       // Recall: build once at max executors, query at max executors,
       // exercising the checkpoint path of §5.3.1.
-      val (meta, _) = h.build(s, seg, Harness.Hnsw, s"$work/${method}_${s}x${m}_recall", maxE)
+      val (meta, _) = h.build(s, seg, HnswParams(), s"$work/${method}_${s}x${m}_recall", maxE)
       recall += (method, (s, m)) ->
         h.query(meta, maxE, Some(s"$work/ckpt_${method}_${s}x$m"))(recallAtKs)._1
 
@@ -83,7 +84,7 @@ object AnnTableExperiment {
       // segmenters are pre-learnt — so we sweep the first partitioning.
       if ((s, m) == partitionings.head) {
         for (e <- executorSweep) {
-          val (_, ms) = h.build(s, seg, Harness.Hnsw, s"$work/${method}_${s}x${m}_E$e", e)
+          val (_, ms) = h.build(s, seg, HnswParams(), s"$work/${method}_${s}x${m}_E$e", e)
           buildMs += (method, e) -> ms
         }
       }

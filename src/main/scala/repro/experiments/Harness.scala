@@ -2,7 +2,7 @@ package repro.experiments
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import repro.core.{Distance, HnswParams, QueryRow, VecRow}
-import repro.lanns.{Indexer, LannsMeta, Querier, SparkBruteForce}
+import repro.lanns.{Indexer, LannsMeta, PerShardTopK, Querier, SparkBruteForce}
 import repro.segment.{Segmenter, SegmenterLearner}
 
 /** What every experiment harness does with its dataset: load and cache the
@@ -13,7 +13,7 @@ import repro.segment.{Segmenter, SegmenterLearner}
   */
 final class Harness private (spark: SparkSession, val ds: DatasetSpec, k: Int) {
   val data: Dataset[VecRow] = ds.data(spark).cache()
-  val n: Long = data.count()
+  data.count()
   val queries: Dataset[QueryRow] = ds.queries(spark).cache()
   val nQueries: Long = queries.count()
   val truth: DataFrame = SparkBruteForce
@@ -25,14 +25,14 @@ final class Harness private (spark: SparkSession, val ds: DatasetSpec, k: Int) {
     * first use, so a harness that learns none never samples.
     */
   lazy val sample: Array[Array[Float]] =
-    SegmenterLearner.sample(data, Harness.SampleSize, ds.seed + 9)
+    SegmenterLearner.sample(data, SegmenterLearner.SampleSize, ds.seed + 9)
 
   /** The seed of every segmenter of this dataset. */
   val segmenterSeed: Long = ds.seed + 17
 
   /** The RS, RH or APD segmenter with `segments` segments per shard. */
   def segmenter(kind: String, segments: Int): Segmenter =
-    SegmenterLearner.segmenter(kind, segments, Harness.Alpha, ds.dim, sample, segmenterSeed)
+    SegmenterLearner.segmenter(kind, segments, ds.dim, sample, segmenterSeed)
 
   /** Build an index under `dir`; returns its metadata and build wall ms. */
   def build(shards: Int, seg: Segmenter, hnsw: HnswParams, dir: String,
@@ -45,8 +45,8 @@ final class Harness private (spark: SparkSession, val ds: DatasetSpec, k: Int) {
   def query[A](meta: LannsMeta, numExecutors: Int, checkpointDir: Option[String] = None)(
       eval: DataFrame => A): (A, Long) = {
     val (res, ms) = Fmt.timed {
-      val d = Querier.search(queries, meta, k, meta.params.efSearch, Some(Harness.Confidence),
-        numExecutors, checkpointDir).cache()
+      val d = Querier.search(queries, meta, k, meta.params.efSearch,
+        Some(PerShardTopK.Confidence), numExecutors, checkpointDir).cache()
       d.count()
       d
     }
@@ -63,15 +63,6 @@ final class Harness private (spark: SparkSession, val ds: DatasetSpec, k: Int) {
 }
 
 object Harness {
-
-  // §6.1's setup, shared by every table: segmenters learnt with α 0.15 on
-  // a uniform subsample, perShardTopK at topK.confidence 0.95, and HNSW at
-  // m 16 / efConstruction 120.
-  private val SampleSize = 20000
-  private val Alpha      = 0.15
-  private val Confidence = 0.95
-  val Hnsw: HnswParams = HnswParams(m = 16, efConstruction = 120, efSearch = 150)
-
   /** `body` applied to a harness of `ds` with top-`k` ground truth; its
     * cached data, queries and truth are released when `body` returns.
     */

@@ -1,6 +1,7 @@
 package repro.experiments
 
 import org.apache.spark.sql.SparkSession
+import repro.core.HnswParams
 import repro.eval.Recall
 import repro.segment.RandomSegmenter
 
@@ -31,7 +32,7 @@ object RealWorldExperiment {
   )
   private val numExecutors = 8
 
-  /** Measured row feeding both Table 8 (times) and Table 9 (recall). */
+  /** Measured row feeding Table 8 (times) and Table 9 (recall, vectors indexed). */
   final case class Row(name: String, shards: Int, dim: Int, indexSize: Long,
                        buildMillis: Long, querySize: Long, queryMillis: Long,
                        k: Int, recallAtK: Double)
@@ -42,17 +43,17 @@ object RealWorldExperiment {
     // does not absorb the compilation cost the others skip.
     val warm = Datasets.groupsLite.copy(name = "warmup", n = 2000, nQueries = 50)
     Harness.run(spark, warm, 10) { h =>
-      val (meta, _) = h.build(2, new RandomSegmenter(2), Harness.Hnsw, s"$workDir/real/warmup", numExecutors)
+      val (meta, _) = h.build(2, new RandomSegmenter(2), HnswParams(), s"$workDir/real/warmup", numExecutors)
       h.query(meta, numExecutors)(_ => ())
     }
     val rows = useCases.map { uc =>
       Harness.run(spark, uc.dataset, uc.k) { h =>
         val name = uc.dataset.name
         val seg = h.segmenter(uc.segmenterKind, uc.segments)
-        val (meta, buildMs) = h.build(uc.shards, seg, Harness.Hnsw, s"$workDir/real/$name", numExecutors)
+        val (meta, buildMs) = h.build(uc.shards, seg, HnswParams(), s"$workDir/real/$name", numExecutors)
         val (rec, queryMs) = h.query(meta, numExecutors, Some(s"$workDir/real/$name-ckpt"))(
           Recall.atK(_, h.truth, uc.k))
-        Row(name, uc.shards, h.ds.dim, h.n, buildMs, h.nQueries, queryMs, uc.k, rec)
+        Row(name, uc.shards, h.ds.dim, meta.totalCount, buildMs, h.nQueries, queryMs, uc.k, rec)
       }
     }
 

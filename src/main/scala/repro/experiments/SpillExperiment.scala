@@ -1,6 +1,7 @@
 package repro.experiments
 
 import org.apache.spark.sql.SparkSession
+import repro.core.HnswParams
 import repro.eval.Recall
 import repro.segment.{RandomSegmenter, Segmenter, SegmenterLearner}
 
@@ -18,7 +19,7 @@ object SpillExperiment {
   private val segmentCounts = Seq(1, 4, 8, 16)
   private val spillPercents = Seq(10, 20, 30)
   private val k             = 15
-  private val hnsw          = Harness.Hnsw.copy(efSearch = 60)
+  private val hnsw          = HnswParams(efSearch = 60)
   private val numExecutors  = 8
 
   /** One sweep point: recall@15 and queries/second for both spill modes. */

@@ -100,12 +100,10 @@ object Indexer {
     val spark = data.sparkSession
     import spark.implicits._
 
-    val segB = spark.sparkContext.broadcast(segmenter)
-
     val tagged: Dataset[TaggedRow] = data.flatMap { r =>
       Dataflow.checkVector("row id", r.id, r.vec, dim)
       val shard = Sharding.shardOf(r.id, numShards)
-      segB.value.routeData(r.id, r.vec).map(seg => TaggedRow(r.id, r.vec, shard, seg))
+      segmenter.routeData(r.id, r.vec).map(seg => TaggedRow(r.id, r.vec, shard, seg))
     }
 
     val metas: Array[IndexMeta] = Dataflow.bySlot(tagged, segmenter.numSegments, numExecutors) {
@@ -117,7 +115,6 @@ object Indexer {
         Iterator.single(IndexMeta(s, g, rows.length.toLong, path, (System.nanoTime() - t0) / 1000000L))
     }.collect()
 
-    segB.destroy()
     val meta = LannsMeta(dim, numShards, distance.name, params, segmenter,
       metas.sortBy(m => (m.shard, m.segment)).toSeq)
     LannsMeta.write(meta, outDir)

@@ -18,6 +18,9 @@ import org.apache.commons.math3.special.Erf
   */
 object PerShardTopK {
 
+  /** §6.1's topK.confidence. */
+  val Confidence = 0.95
+
   /** Inverse standard-normal CDF, Φ⁻¹(p) = √2·erf⁻¹(2p − 1). For p ≥ 0.5,
     * the only values [[apply]] asks for, 2p − 1 is exact and so is the
     * result to double precision (within 4e−15 of the true quantile); for

@@ -87,13 +87,15 @@ object Querier {
     mergeLists(hits.select(col("qid"), col("shard"),
       array(col("id")).as("ids"), array(col("dist")).as("dists")), kShard, topK)
 
-  /** Two-level merge (§5.3): segment hits → per-shard top `kShard`
-    * (deduplicating ids that physical spill stored in several segments),
-    * then shard results → global top `topK`, in one pass per query over
+  /** Two-level merge (§5.3): segment hits → per-shard top `kShard`, then
+    * shard results → global top `topK`, in one pass per query over
     * its hits ([[QueryHits]]). Lists are grouped by qid: one shuffle, or
     * none when they already sit in one partition, and a sort on qid.
     * Distances order as in Spark SQL (-0.0 equals 0.0, NaN after every
-    * number), ties by ascending id. Ids are not deduplicated across shards.
+    * number), ties by ascending id. A shard keeps an id once, at its least
+    * distance: an id that occurs in several input rows (brute-force
+    * partitions, an HNSW group with duplicate ids) can arrive more than
+    * once. Ids are not deduplicated across shards.
     *
     * @param lists DataFrame of [[HitList]] rows (qid, shard, ids, dists)
     * @return DataFrame (qid, id, dist, rank)

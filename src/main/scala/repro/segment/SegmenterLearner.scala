@@ -13,9 +13,13 @@ import scala.collection.mutable.ArrayBuffer
   */
 object SegmenterLearner {
 
-  /** Uniformly subsample up to `maxSample` vectors to the driver — the
-    * paper uses 250k; our scaled benches use ≤50k.
-    */
+  /** Rows a segmenter is learnt on (§6.1 samples 250k; our datasets are smaller). */
+  val SampleSize = 20000
+
+  /** §6.1's spill α: node boundaries at the (0.5±α) fractiles. */
+  val Alpha = 0.15
+
+  /** Uniformly subsample up to `maxSample` vectors to the driver. */
   def sample(data: Dataset[VecRow], maxSample: Int, seed: Long = 21L): Array[Array[Float]] = {
     val n = data.count()
     val frac = if (n == 0) 0.0 else math.min(1.0, maxSample.toDouble * 1.2 / n)
@@ -25,18 +29,18 @@ object SegmenterLearner {
 
   /** The segmenter of `kind` — RS, RH or APD (§4.3) — with `segments`
     * segments per shard. RS takes any segment count and never evaluates
-    * `sample`; RH and APD learn a tree of depth log2(`segments`), so they
-    * need a power of two >= 2.
+    * `sample`; RH and APD learn a tree of depth log2(`segments`) at
+    * [[Alpha]], so they need a power of two >= 2.
     */
-  def segmenter(kind: String, segments: Int, alpha: Double, dim: Int,
+  def segmenter(kind: String, segments: Int, dim: Int,
                 sample: => Array[Array[Float]], seed: Long): Segmenter = kind match {
     case "RS" => new RandomSegmenter(segments, seed)
     case "RH" | "APD" =>
       require(segments >= 2 && Integer.bitCount(segments) == 1,
         s"$kind needs a power-of-two segment count >= 2, got $segments")
       val depth = Integer.numberOfTrailingZeros(segments)
-      if (kind == "RH") learnRH(sample, dim, depth, alpha, seed)
-      else learnAPD(sample, dim, depth, alpha, seed)
+      if (kind == "RH") learnRH(sample, dim, depth, Alpha, seed)
+      else learnAPD(sample, dim, depth, Alpha, seed)
     case other => throw new IllegalArgumentException(s"unknown segmenter kind $other")
   }
 

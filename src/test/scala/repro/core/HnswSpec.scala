@@ -258,4 +258,9 @@ class HnswSpec extends AnyFunSuite {
     // k=20 > efSearch=5: beam must be clamped up to k, so 20 results return
     assert(idx.search(Array.fill(8)(0f), 20).length === 20)
   }
+
+  test("search rejects an explicit ef below 1") {
+    val idx = build(clustered(100, 8, 3, 16L), 8, params)
+    intercept[IllegalArgumentException](idx.search(Array.fill(8)(0f), 5, ef = 0))
+  }
 }

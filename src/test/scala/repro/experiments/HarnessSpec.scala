@@ -2,6 +2,7 @@ package repro.experiments
 
 import java.nio.file.Files
 import repro.SparkSpec
+import repro.core.HnswParams
 import repro.eval.Recall
 
 class HarnessSpec extends SparkSpec {
@@ -15,7 +16,7 @@ class HarnessSpec extends SparkSpec {
     val before = cached
     val (inside, recall) = Harness.run(spark, tiny, 5) { h =>
       val dir = Files.createTempDirectory("harness").toString
-      val (meta, _) = h.build(1, h.segmenter("APD", 2), Harness.Hnsw, dir, 2)
+      val (meta, _) = h.build(1, h.segmenter("APD", 2), HnswParams(), dir, 2)
       (cached -- before, h.bestOfTwo(meta, 2)(Recall.atK(_, h.truth, 5))._1)
     }
     assert(inside.nonEmpty)

@@ -141,9 +141,9 @@ class SegmenterLearnerSpec extends AnyFunSuite {
 
   test("segmenter factory dispatches to every kind and rejects unknowns") {
     val xs = sample(64, 4, 14L)
-    def make(kind: String, m: Int) = SegmenterLearner.segmenter(kind, m, 0.1, 4, xs, 1L)
+    def make(kind: String, m: Int) = SegmenterLearner.segmenter(kind, m, 4, xs, 1L)
     // RS needs no learning: it never evaluates the sample
-    val rs = SegmenterLearner.segmenter("RS", 4, 0.1, 4, sys.error("sample evaluated"), 1L)
+    val rs = SegmenterLearner.segmenter("RS", 4, 4, sys.error("sample evaluated"), 1L)
     assert(rs.isInstanceOf[RandomSegmenter] && rs.numSegments === 4)
     assert(make("RS", 3).numSegments === 3) // RS takes any segment count
     val rh = make("RH", 4).asInstanceOf[HyperplaneSegmenter]
