@@ -10,8 +10,9 @@ package repro.core
   * independently instead of waiting on one another's adds. Each pair's own
   * sum still runs in index order, so every score equals `distance(q, v)`
   * bit for bit. A remainder of fewer than 8 queries is scored one query at
-  * a time. Each query keeps a bounded max-heap on (dist, id) over primitive
-  * arrays.
+  * a time. Each query keeps its k nearest distinct ids in a [[TopK]], the
+  * bounded top-k cut the query merge also runs, which orders (dist, id) as
+  * Spark SQL does.
   */
 object BruteForce {
 
@@ -41,7 +42,7 @@ object BruteForce {
     * `vecs` (row `r` is `vecs[r·dim, (r+1)·dim)`), each sorted by ascending
     * distance with ties broken by id; an id stored more than once counts
     * once, at its nearest copy. Every distance equals `distance(q, v)`
-    * exactly. Each query keeps a bounded max-heap, O(n log k).
+    * exactly. Each query keeps a bounded [[TopK]], O(n log k).
     */
   def topK(ids: Array[Long], vecs: Array[Float], dim: Int, queries: Array[Array[Float]],
            k: Int, distance: Distance): Array[Array[Neighbor]] = {
@@ -51,7 +52,7 @@ object BruteForce {
     val rows = new Rows(ids, vecs, dim, distance == Distance.Cosine)
     val out = new Array[Array[Neighbor]](queries.length)
     val full = queries.length - queries.length % Block
-    val heaps = Array.fill(Block)(new Heap(math.min(k, ids.length))) // n rows hold ≤ n ids
+    val heaps = Array.fill(Block)(new TopK(math.min(k, ids.length))) // n rows hold ≤ n ids
     var b = 0
     while (b < full) {
       rows.scoreBlock(queries, b, heaps)
@@ -81,7 +82,7 @@ object BruteForce {
     private val nb: Array[Double] =
       if (cos) Array.tabulate(n) { r => val o = r * dim; math.sqrt(Vectors.dot(vecs, o, vecs, o, dim)) }
       else null
-    /** Rows whose id occurs more than once; only they search the heap for their id. */
+    /** Rows whose id occurs more than once; only they search the top-k for their id. */
     private val repeated: Array[Boolean] = {
       val rep = new Array[Boolean](n)
       // open addressing over row indices + 1, one slot per id seen
@@ -99,7 +100,7 @@ object BruteForce {
     }
 
     /** Scores queries `qs[b, b+Block)` against every row into `heaps`. */
-    def scoreBlock(qs: Array[Array[Float]], b: Int, heaps: Array[Heap]): Unit = {
+    def scoreBlock(qs: Array[Array[Float]], b: Int, heaps: Array[TopK]): Unit = {
       val qd = new Array[Double](dim * Block) // qd(i·Block + j) = component i of query b + j
       val na = new Array[Double](Block)
       var j = 0
@@ -150,7 +151,7 @@ object BruteForce {
     }
 
     /** Scores one query against every row into `heap`. */
-    def scoreOne(q: Array[Float], heap: Heap): Unit = {
+    def scoreOne(q: Array[Float], heap: TopK): Unit = {
       val na = if (cos) Vectors.norm(q) else 0.0
       var r = 0
       while (r < n) {
@@ -160,80 +161,6 @@ object BruteForce {
         heap.offer(d, ids(r), repeated(r))
         r += 1
       }
-    }
-  }
-
-  /** A bounded max-heap on (dist, id) over primitive arrays, holding at most
-    * `k` distinct ids, each at the smallest distance offered for it. The
-    * heap orders distances as `java.lang.Double.compare` does; the entry
-    * and replacement tests use `<` and `==`.
-    */
-  private final class Heap(k: Int) {
-    private val dist = new Array[Double](k)
-    private val id = new Array[Long](k)
-    private var size = 0
-
-    /** (d1, i1) orders before (d2, i2). */
-    private def before(d1: Double, i1: Long, d2: Double, i2: Long): Boolean =
-      if (d1 < d2) true
-      else if (d1 > d2) false
-      else { val c = java.lang.Double.compare(d1, d2); c < 0 || (c == 0 && i1 < i2) }
-
-    /** Offers row id `x` at distance `d`; `repeated` says whether another
-      * row shares its id, so that the heap may already hold it.
-      */
-    def offer(d: Double, x: Long, repeated: Boolean): Unit =
-      if (size < k || d < dist(0) || (d == dist(0) && x < id(0))) {
-        var p = -1
-        if (repeated) {
-          var i = 0
-          while (i < size && p < 0) { if (id(i) == x) p = i; i += 1 }
-        }
-        if (p >= 0) { // a nearer copy replaces the held one
-          if (d < dist(p)) siftDown(p, d, x)
-        } else if (size < k) {
-          size += 1
-          siftUp(size - 1, d, x)
-        } else siftDown(0, d, x)
-      }
-
-    /** Puts (d, x) in the hole at `h`, moving larger parents down. */
-    private def siftUp(h: Int, d: Double, x: Long): Unit = {
-      var i = h
-      var done = false
-      while (i > 0 && !done) {
-        val p = (i - 1) >>> 1
-        if (before(dist(p), id(p), d, x)) { dist(i) = dist(p); id(i) = id(p); i = p }
-        else done = true
-      }
-      dist(i) = d; id(i) = x
-    }
-
-    /** Puts (d, x) in the hole at `h`, moving larger children up. */
-    private def siftDown(h: Int, d: Double, x: Long): Unit = {
-      var i = h
-      var done = false
-      while (!done) {
-        val l = 2 * i + 1
-        if (l >= size) done = true
-        else {
-          val c = if (l + 1 < size && before(dist(l), id(l), dist(l + 1), id(l + 1))) l + 1 else l
-          if (before(d, x, dist(c), id(c))) { dist(i) = dist(c); id(i) = id(c); i = c }
-          else done = true
-        }
-      }
-      dist(i) = d; id(i) = x
-    }
-
-    /** The held neighbours in ascending (dist, id) order; empties the heap. */
-    def drain(): Array[Neighbor] = {
-      val out = new Array[Neighbor](size)
-      while (size > 0) {
-        out(size - 1) = Neighbor(id(0), dist(0))
-        size -= 1
-        if (size > 0) siftDown(0, dist(size), id(size))
-      }
-      out
     }
   }
 }

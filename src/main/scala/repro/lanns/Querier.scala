@@ -2,8 +2,7 @@ package repro.lanns
 
 import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions.{array, col}
-import repro.core.{HitList, QueryRow, RankedHit}
-import scala.collection.mutable
+import repro.core.{HitList, QueryRow, RankedHit, TopK}
 
 /** Distributed querying over a two-level partitioned index (§5.3, Figure 7).
   *
@@ -14,9 +13,9 @@ import scala.collection.mutable
   * queries routed to it, and emits one [[HitList]] per (query, routed
   * group). Merging is two-level, mirroring the online system: segment hits
   * merge *within* a shard first (keeping the perShardTopK best, §5.3.2),
-  * then shard results merge globally to the final topK. Both levels run in
-  * one pass per query, after at most one shuffle of the lists by qid (none
-  * when E = 1).
+  * then shard results merge globally to the final topK. The lists are
+  * shuffled by qid at most once (not at all when E = 1), and each query's
+  * group then runs both cuts as two levels of [[repro.core.TopK]].
   *
   * Partial results can be checkpointed to a temporary directory between
   * stages (§5.3.1's defense against cascading executor time-outs); pass
@@ -82,114 +81,45 @@ object Querier {
     *
     * @param hits DataFrame with columns (qid, shard, id, dist), e.g. [[repro.core.Hit]] rows
     * @return DataFrame (qid, id, dist, rank)
+    * @throws IllegalArgumentException if kShard or topK is below 1
     */
   def mergeHits(hits: DataFrame, kShard: Int, topK: Int): DataFrame =
     mergeLists(hits.select(col("qid"), col("shard"),
       array(col("id")).as("ids"), array(col("dist")).as("dists")), kShard, topK)
 
   /** Two-level merge (§5.3): segment hits → per-shard top `kShard`, then
-    * shard results → global top `topK`, in one pass per query over
-    * its hits ([[QueryHits]]). Lists are grouped by qid: one shuffle, or
-    * none when they already sit in one partition, and a sort on qid.
-    * Distances order as in Spark SQL (-0.0 equals 0.0, NaN after every
-    * number), ties by ascending id. A shard keeps an id once, at its least
-    * distance: an id that occurs in several input rows (brute-force
-    * partitions, an HNSW group with duplicate ids) can arrive more than
-    * once. Ids are not deduplicated across shards.
+    * shard results → global top `topK`. Lists are grouped by qid: one
+    * shuffle, or none when they already sit in one partition, and a sort on
+    * qid. Each query runs two levels of [[TopK]], each sized to the lesser
+    * of its cut and the hits offered to it: per shard, one offered every hit
+    * of that shard's lists, which keeps an id once, at its least distance
+    * (an id that occurs in several input rows, such as brute-force
+    * partitions or an HNSW group with duplicate ids, can arrive more than
+    * once); then one offered every shard's survivors, which does not
+    * deduplicate ids across shards. Distances order as in Spark SQL (-0.0
+    * equals 0.0, NaN after every number), ties by ascending id.
     *
     * @param lists DataFrame of [[HitList]] rows (qid, shard, ids, dists)
     * @return DataFrame (qid, id, dist, rank)
+    * @throws IllegalArgumentException if kShard or topK is below 1
     */
   private[lanns] def mergeLists(lists: DataFrame, kShard: Int, topK: Int): DataFrame = {
+    require(kShard >= 1, s"kShard must be >= 1, got $kShard")
+    require(topK >= 1, s"topK must be >= 1, got $topK")
     import lists.sparkSession.implicits._
     lists.groupBy("qid").as[Long, HitList]
       .flatMapGroups { (qid, qLists) =>
-        val q = new QueryHits
-        qLists.foreach(q.add)
-        q.merge(qid, kShard, topK)
+        val survivors = qLists.toArray.groupBy(_.shard).values.toArray.map { shardLists =>
+          val shardTop = new TopK(math.min(kShard, shardLists.map(_.ids.length).sum))
+          shardLists.foreach { l =>
+            l.ids.indices.foreach(i => shardTop.offer(l.dists(i), l.ids(i), scan = true))
+          }
+          shardTop.drain()
+        }
+        val top = new TopK(math.min(topK, survivors.map(_.length).sum))
+        survivors.foreach(_.foreach(n => top.offer(n.dist, n.id, scan = false)))
+        top.drain().iterator.zipWithIndex.map { case (n, r) => RankedHit(qid, n.id, n.dist, r + 1) }
       }
       .toDF()
-  }
-
-  /** One query's hits, held as primitive columns in arrival order. */
-  private final class QueryHits {
-    private var n = 0
-    private var shards = 0 // 1 + the largest shard seen; shards are >= 0
-    private var shard = new Array[Int](16)
-    private var id = new Array[Long](16)
-    private var dist = new Array[Double](16)
-
-    def add(l: HitList): Unit = {
-      val m = l.ids.length
-      if (n + m > id.length) {
-        val cap = math.max(2 * id.length, n + m)
-        shard = java.util.Arrays.copyOf(shard, cap)
-        id = java.util.Arrays.copyOf(id, cap)
-        dist = java.util.Arrays.copyOf(dist, cap)
-      }
-      java.util.Arrays.fill(shard, n, n + m, l.shard)
-      System.arraycopy(l.ids, 0, id, n, m)
-      System.arraycopy(l.dists, 0, dist, n, m)
-      shards = math.max(shards, l.shard + 1)
-      n += m
-    }
-
-    /** Walks the hits in (dist, id) order. The first copy of a (shard, id)
-      * carries its smallest distance; it is kept while its shard has fewer
-      * than `kShard` kept hits, until `topK` are kept. The kept hits are the
-      * global top `topK` of the per-shard top `kShard` lists.
-      */
-    def merge(qid: Long, kShard: Int, topK: Int): Iterator[RankedHit] = {
-      val order = Array.range(0, n)
-      sort(order, new Array[Int](n), 0, n)
-      val kept = new Array[Int](shards)
-      // open addressing over hit indices + 1, for the (shard, id) pairs seen
-      val mask = Integer.highestOneBit(n) * 4 - 1
-      val seen = new Array[Int](mask + 1)
-      def firstCopy(h: Int): Boolean = {
-        var s = ((id(h) * 31 + shard(h)) * 0x9E3779B97F4A7C15L >>> 32).toInt & mask
-        while (seen(s) != 0) {
-          val o = seen(s) - 1
-          if (id(o) == id(h) && shard(o) == shard(h)) return false
-          s = (s + 1) & mask
-        }
-        seen(s) = h + 1
-        true
-      }
-      val out = new mutable.ArrayBuffer[RankedHit](math.min(n, topK))
-      var i = 0
-      while (i < n && out.length < topK) {
-        val h = order(i)
-        if (firstCopy(h) && kept(shard(h)) < kShard) {
-          kept(shard(h)) += 1
-          out += RankedHit(qid, id(h), dist(h), out.length + 1)
-        }
-        i += 1
-      }
-      out.iterator
-    }
-
-    /** Spark SQL's order on (dist, id). */
-    private def before(a: Int, b: Int): Boolean = {
-      val c = if (dist(a) == dist(b)) 0 else java.lang.Double.compare(dist(a), dist(b))
-      c < 0 || (c == 0 && id(a) < id(b))
-    }
-
-    /** Merge sort of the hit indices `ix[lo, hi)`, with `tmp` as scratch. */
-    private def sort(ix: Array[Int], tmp: Array[Int], lo: Int, hi: Int): Unit =
-      if (hi - lo > 1) {
-        val mid = (lo + hi) >>> 1
-        sort(ix, tmp, lo, mid)
-        sort(ix, tmp, mid, hi)
-        System.arraycopy(ix, lo, tmp, lo, hi - lo)
-        var i = lo
-        var j = mid
-        var k = lo
-        while (k < hi) {
-          if (j == hi || (i < mid && !before(tmp(j), tmp(i)))) { ix(k) = tmp(i); i += 1 }
-          else { ix(k) = tmp(j); j += 1 }
-          k += 1
-        }
-      }
   }
 }

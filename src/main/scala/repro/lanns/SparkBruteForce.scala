@@ -16,8 +16,11 @@ import scala.collection.mutable
   * ids of its partition (an id stored twice takes one slot, at its nearest
   * copy); it emits one [[HitList]] per query. Partial results can be written
   * to the HDFS substitute and reloaded (as in Figure 8) before the final
-  * per-query merge, the querier's list merge with every list on shard 0:
-  * like the querier, it returns an id once per query, at its nearest copy.
+  * per-query merge, the querier's list merge with every list on shard 0 and
+  * both cuts at k: its shard level makes the same k-nearest-distinct-ids
+  * cut as the kernel, with the same [[repro.core.TopK]], over all the
+  * tasks' lists, so like the querier it returns an id once per query, at
+  * its nearest copy.
   */
 object SparkBruteForce {
 

@@ -16,6 +16,12 @@ class HnswSpec extends AnyFunSuite {
     }
   }
 
+  /** The exact top-`k` ids of each query over `data`, in one call of the flat kernel. */
+  private def exactIds(data: IndexedSeq[(Long, Array[Float])], queries: Seq[Array[Float]], k: Int,
+                       distance: Distance): IndexedSeq[Set[Long]] =
+    BruteForce.topK(data.map(_._1).toArray, data.flatMap(_._2).toArray, queries.head.length,
+      queries.toArray, k, distance).map(_.map(_.id).toSet).toIndexedSeq
+
   private def build(items: Iterable[(Long, Array[Float])], dim: Int,
                     p: HnswParams = params): HnswIndex =
     HnswIndex.build(dim, Distance.Euclidean, p, items.iterator)
@@ -77,10 +83,10 @@ class HnswSpec extends AnyFunSuite {
     val idx = build(data, 16, HnswParams(m = 16, efConstruction = 100, efSearch = 100, seed = 2L))
     val rng = new java.util.Random(8L)
     val queries = (0 until 50).map(_ => Array.fill(16)((rng.nextGaussian() * 0.5).toFloat))
-    val recalls = queries.map { q =>
-      val approx = idx.search(q, 10, ef = 100).map(_.id).toSet
-      val exact = BruteForce.topK(data, q, 10, Distance.Euclidean).map(_.id).toSet
-      (approx & exact).size / 10.0
+    val exact = exactIds(data, queries, 10, Distance.Euclidean)
+    val recalls = queries.indices.map { i =>
+      val approx = idx.search(queries(i), 10, ef = 100).map(_.id).toSet
+      (approx & exact(i)).size / 10.0
     }
     val mean = recalls.sum / recalls.length
     assert(mean >= 0.9, s"mean recall@10 was $mean")
@@ -91,10 +97,10 @@ class HnswSpec extends AnyFunSuite {
     val idx = build(data, 8, HnswParams(m = 8, efConstruction = 80, efSearch = 20, seed = 3L))
     val rng = new java.util.Random(10L)
     val queries = (0 until 30).map(_ => Array.fill(8)((rng.nextGaussian() * 0.5).toFloat))
-    def recall(ef: Int): Double = queries.map { q =>
-      val approx = idx.search(q, 10, ef).map(_.id).toSet
-      val exact = BruteForce.topK(data, q, 10, Distance.Euclidean).map(_.id).toSet
-      (approx & exact).size / 10.0
+    val exact = exactIds(data, queries, 10, Distance.Euclidean)
+    def recall(ef: Int): Double = queries.indices.map { i =>
+      val approx = idx.search(queries(i), 10, ef).map(_.id).toSet
+      (approx & exact(i)).size / 10.0
     }.sum / queries.length
     assert(recall(200) >= recall(10) - 0.02)
   }
@@ -196,10 +202,10 @@ class HnswSpec extends AnyFunSuite {
       val f = 0.1 + rng.nextDouble() * 9.9
       Array.fill(16)((rng.nextGaussian() * 0.5 * f).toFloat)
     }
-    val recalls = queries.map { q =>
-      val approx = idx.search(q, 10, ef = 100).map(_.id).toSet
-      val exact = BruteForce.topK(data, q, 10, Distance.Cosine).map(_.id).toSet
-      (approx & exact).size / 10.0
+    val exact = exactIds(data, queries, 10, Distance.Cosine)
+    val recalls = queries.indices.map { i =>
+      val approx = idx.search(queries(i), 10, ef = 100).map(_.id).toSet
+      (approx & exact(i)).size / 10.0
     }
     val mean = recalls.sum / recalls.length
     assert(mean >= 0.9, s"mean cosine recall@10 was $mean")

@@ -106,6 +106,58 @@ class QuerierSpec extends SparkSpec {
     }
   }
 
+  test("the merge rejects kShard or topK below 1, naming the value") {
+    import spark.implicits._
+    val hits = randomHits(5L)
+    val lists = Seq(HitList(1L, 0, Array(1L), Array(1.0))).toDF()
+    def message(merge: => DataFrame): String = intercept[IllegalArgumentException](merge).getMessage
+    assert(message(Querier.mergeHits(hits, kShard = 0, topK = 3)).contains("kShard must be >= 1, got 0"))
+    assert(message(Querier.mergeHits(hits, kShard = 2, topK = -2)).contains("topK must be >= 1, got -2"))
+    assert(message(Querier.mergeLists(lists, kShard = -1, topK = 3)).contains("kShard must be >= 1, got -1"))
+    assert(message(Querier.mergeLists(lists, kShard = 2, topK = 0)).contains("topK must be >= 1, got 0"))
+  }
+
+  /** Sorted (qid, id, raw distance bits, rank) rows of a merge result. */
+  private def rawRows(df: DataFrame): Seq[(Long, Long, Long, Int)] =
+    df.collect().map(r => (r.getLong(0), r.getLong(1),
+      java.lang.Double.doubleToRawLongBits(r.getDouble(2)), r.getInt(3))).toSeq.sorted
+
+  test("the merge orders distances as Spark SQL does: -0.0 equals 0.0, NaN after every number") {
+    import spark.implicits._
+    val nan = Double.NaN
+    val lists = Seq(
+      HitList(1L, 0, Array(7L, 5L, 3L), Array(-0.0, 1.0, 0.0)), // a ±0.0 tie goes to the smaller id
+      HitList(2L, 0, Array(4L, 6L), Array(nan, 1.0)), // NaN after every number
+      HitList(2L, 1, Array(2L), Array(0.0)),
+      HitList(3L, 0, Array(8L), Array(nan)), // the number copy of id 8 is nearer
+      HitList(3L, 0, Array(8L, 9L), Array(1.0, 0.0)),
+      HitList(4L, 0, Array(8L, 9L), Array(1.0, 0.0)),
+      HitList(4L, 0, Array(8L), Array(nan)),
+      HitList(5L, 0, Array(1L, 2L), Array(nan, nan)), // a full shard of NaNs admits a number
+      HitList(5L, 0, Array(3L), Array(1.0)),
+    ).toDF()
+    def bits(d: Double) = java.lang.Double.doubleToRawLongBits(d)
+    assert(rawRows(Querier.mergeLists(lists, kShard = 2, topK = 3)) === Seq(
+      (1L, 3L, bits(0.0), 1), (1L, 7L, bits(-0.0), 2),
+      (2L, 2L, bits(0.0), 1), (2L, 4L, bits(nan), 3), (2L, 6L, bits(1.0), 2),
+      (3L, 8L, bits(1.0), 2), (3L, 9L, bits(0.0), 1),
+      (4L, 8L, bits(1.0), 2), (4L, 9L, bits(0.0), 1),
+      (5L, 1L, bits(nan), 2), (5L, 3L, bits(1.0), 1),
+    ))
+  }
+
+  test("the merge keeps an id once per shard, but once for each shard that returns it") {
+    import spark.implicits._
+    val lists = Seq(
+      HitList(1L, 0, Array(5L, 6L), Array(1.0, 3.0)),
+      HitList(1L, 0, Array(5L), Array(0.5)),
+      HitList(1L, 1, Array(5L, 7L), Array(2.0, 4.0)),
+    ).toDF()
+    val rows = Querier.mergeLists(lists, kShard = 2, topK = 3).orderBy("rank").collect()
+      .map(r => (r.getLong(1), r.getDouble(2), r.getInt(3))).toSeq
+    assert(rows === Seq((5L, 0.5, 1), (5L, 2.0, 2), (6L, 3.0, 3)))
+  }
+
   test("two-level merge is one shuffle on qid and keeps its schema when empty") {
     import spark.implicits._
     val merged = Querier.mergeHits(randomHits(4L), kShard = 3, topK = 6)

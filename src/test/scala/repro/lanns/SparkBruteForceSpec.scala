@@ -85,11 +85,13 @@ class SparkBruteForceSpec extends SparkSpec {
     val queries = VectorData.clusteredQueries(spark, 10, 8, 4, seed = 2L)
     val res = SparkBruteForce.search(data, queries, 5, Distance.Euclidean, 4)
       .collect().groupBy(_.getLong(0))
-    val items = data.collect().map(r => (r.id, r.vec)).toSeq
-    queries.collect().foreach { q =>
-      val exact = BruteForce.topK(items, q.vec, 5, Distance.Euclidean).map(_.id).toSeq
-      val got = res(q.qid).sortBy(_.getInt(3)).map(_.getLong(1)).toSeq
-      assert(got === exact, s"query ${q.qid}")
+    val rows = data.collect()
+    val qs = queries.collect()
+    val exact = BruteForce.topK(rows.map(_.id), rows.flatMap(_.vec), 8, qs.map(_.vec), 5,
+      Distance.Euclidean)
+    qs.indices.foreach { i =>
+      val got = res(qs(i).qid).sortBy(_.getInt(3)).map(_.getLong(1)).toSeq
+      assert(got === exact(i).map(_.id).toSeq, s"query ${qs(i).qid}")
     }
   }
 
