@@ -117,11 +117,6 @@ class QuerierSpec extends SparkSpec {
     assert(message(Querier.mergeLists(lists, kShard = 2, topK = 0)).contains("topK must be >= 1, got 0"))
   }
 
-  /** Sorted (qid, id, raw distance bits, rank) rows of a merge result. */
-  private def rawRows(df: DataFrame): Seq[(Long, Long, Long, Int)] =
-    df.collect().map(r => (r.getLong(0), r.getLong(1),
-      java.lang.Double.doubleToRawLongBits(r.getDouble(2)), r.getInt(3))).toSeq.sorted
-
   test("the merge orders distances as Spark SQL does: -0.0 equals 0.0, NaN after every number") {
     import spark.implicits._
     val nan = Double.NaN
@@ -137,7 +132,9 @@ class QuerierSpec extends SparkSpec {
       HitList(5L, 0, Array(3L), Array(1.0)),
     ).toDF()
     def bits(d: Double) = java.lang.Double.doubleToRawLongBits(d)
-    assert(rawRows(Querier.mergeLists(lists, kShard = 2, topK = 3)) === Seq(
+    val rows = Querier.mergeLists(lists, kShard = 2, topK = 3).collect()
+      .map(r => (r.getLong(0), r.getLong(1), bits(r.getDouble(2)), r.getInt(3))).toSeq.sorted
+    assert(rows === Seq(
       (1L, 3L, bits(0.0), 1), (1L, 7L, bits(-0.0), 2),
       (2L, 2L, bits(0.0), 1), (2L, 4L, bits(nan), 3), (2L, 6L, bits(1.0), 2),
       (3L, 8L, bits(1.0), 2), (3L, 9L, bits(0.0), 1),
