@@ -9,10 +9,11 @@ package repro.core
   * rows, with one accumulator per query, so the eight sums proceed
   * independently instead of waiting on one another's adds. Each pair's own
   * sum still runs in index order, so every score equals `distance(q, v)`
-  * bit for bit. A remainder of fewer than 8 queries is scored one query at
-  * a time. Each query keeps its k nearest distinct ids in a [[TopK]], the
-  * bounded top-k cut the query merge also runs, which orders (dist, id) as
-  * Spark SQL does.
+  * bit for bit. A last block of fewer than 8 queries is padded with copies
+  * of its last query, whose lanes are scored and dropped. Each query keeps
+  * its k nearest distinct ids in a [[TopK]], the bounded top-k cut HNSW
+  * search and the query merge also run, which orders (dist, id) as Spark
+  * SQL does.
   */
 object BruteForce {
 
@@ -21,7 +22,8 @@ object BruteForce {
 
   /** Exact top-`k` distinct ids of `q` over `items`, sorted by ascending
     * distance with ties broken by id. An id stored more than once counts
-    * once, at its nearest copy. Packs the items and runs the flat kernel.
+    * once, at its nearest copy. Packs the items and runs the flat kernel on
+    * one padded block.
     */
   def topK(items: Iterable[(Long, Array[Float])], q: Array[Float], k: Int,
            distance: Distance): Array[Neighbor] = {
@@ -39,10 +41,11 @@ object BruteForce {
   }
 
   /** Exact top-`k` distinct ids of each query over the rows `ids` /
-    * `vecs` (row `r` is `vecs[r·dim, (r+1)·dim)`), each sorted by ascending
-    * distance with ties broken by id; an id stored more than once counts
-    * once, at its nearest copy. Every distance equals `distance(q, v)`
-    * exactly. Each query keeps a bounded [[TopK]], O(n log k).
+    * `vecs` (row `r` is `vecs[r·dim, (r+1)·dim)`), each drained from a
+    * [[TopK]] in [[TopK.before]] order (ascending distance, ties by id); an
+    * id stored more than once counts once, at its nearest copy. Every
+    * distance equals `distance(q, v)` exactly. Queries are scored in blocks
+    * of 8, the last padded, each query in O(n log k).
     */
   def topK(ids: Array[Long], vecs: Array[Float], dim: Int, queries: Array[Array[Float]],
            k: Int, distance: Distance): Array[Array[Neighbor]] = {
@@ -51,28 +54,20 @@ object BruteForce {
     queries.foreach(q => require(q.length == dim, s"dim mismatch: ${q.length} vs $dim"))
     val rows = new Rows(ids, vecs, dim, distance == Distance.Cosine)
     val out = new Array[Array[Neighbor]](queries.length)
-    val full = queries.length - queries.length % Block
     val heaps = Array.fill(Block)(new TopK(math.min(k, ids.length))) // n rows hold ≤ n ids
     var b = 0
-    while (b < full) {
+    while (b < queries.length) {
       rows.scoreBlock(queries, b, heaps)
       var j = 0
-      while (j < Block) { out(b + j) = heaps(j).drain(); j += 1 }
+      while (j < Block) { // every heap is drained, only real lanes are kept
+        val top = heaps(j).drain()
+        if (b + j < queries.length) out(b + j) = top
+        j += 1
+      }
       b += Block
-    }
-    while (b < queries.length) {
-      rows.scoreOne(queries(b), heaps(0))
-      out(b) = heaps(0).drain()
-      b += 1
     }
     out
   }
-
-  /** `Vectors.cosineDist` from a·b and the two norms, each norm the sqrt of
-    * the serial sum of squares (`Vectors.norm`).
-    */
-  private def cosine(ab: Double, na: Double, nb: Double): Double =
-    if (na == 0.0 || nb == 0.0) 1.0 else 1.0 - ab / (na * nb)
 
   /** The rows of one kernel call, with what each query pass reuses: the row
     * norms (cosine) and which rows share their id with another row.
@@ -99,13 +94,15 @@ object BruteForce {
       rep
     }
 
-    /** Scores queries `qs[b, b+Block)` against every row into `heaps`. */
+    /** Scores queries `qs[b, b+Block)` against every row into `heaps`; lanes
+      * past the last query score that query again.
+      */
     def scoreBlock(qs: Array[Array[Float]], b: Int, heaps: Array[TopK]): Unit = {
       val qd = new Array[Double](dim * Block) // qd(i·Block + j) = component i of query b + j
       val na = new Array[Double](Block)
       var j = 0
       while (j < Block) {
-        val q = qs(b + j)
+        val q = qs(math.min(b + j, qs.length - 1))
         var i = 0
         while (i < dim) { qd(i * Block + j) = q(i).toDouble; i += 1 }
         if (cos) na(j) = Vectors.norm(q)
@@ -128,10 +125,10 @@ object BruteForce {
             i += 1
           }
           val m = nb(r)
-          s0 = cosine(s0, na(0), m); s1 = cosine(s1, na(1), m)
-          s2 = cosine(s2, na(2), m); s3 = cosine(s3, na(3), m)
-          s4 = cosine(s4, na(4), m); s5 = cosine(s5, na(5), m)
-          s6 = cosine(s6, na(6), m); s7 = cosine(s7, na(7), m)
+          s0 = Vectors.cosine(s0, na(0), m); s1 = Vectors.cosine(s1, na(1), m)
+          s2 = Vectors.cosine(s2, na(2), m); s3 = Vectors.cosine(s3, na(3), m)
+          s4 = Vectors.cosine(s4, na(4), m); s5 = Vectors.cosine(s5, na(5), m)
+          s6 = Vectors.cosine(s6, na(6), m); s7 = Vectors.cosine(s7, na(7), m)
         } else {
           while (i < dim) {
             val v = vecs(off + i).toDouble
@@ -146,19 +143,6 @@ object BruteForce {
         val id = ids(r); val rep = repeated(r)
         h0.offer(s0, id, rep); h1.offer(s1, id, rep); h2.offer(s2, id, rep); h3.offer(s3, id, rep)
         h4.offer(s4, id, rep); h5.offer(s5, id, rep); h6.offer(s6, id, rep); h7.offer(s7, id, rep)
-        r += 1
-      }
-    }
-
-    /** Scores one query against every row into `heap`. */
-    def scoreOne(q: Array[Float], heap: TopK): Unit = {
-      val na = if (cos) Vectors.norm(q) else 0.0
-      var r = 0
-      while (r < n) {
-        val d =
-          if (cos) cosine(Vectors.dot(q, 0, vecs, r * dim, dim), na, nb(r))
-          else Vectors.l2sq(q, 0, vecs, r * dim, dim)
-        heap.offer(d, ids(r), repeated(r))
         r += 1
       }
     }

@@ -336,12 +336,15 @@ final class HnswIndex private (
     if (level > topLevel) { entry = node; topLevel = level }
   }
 
-  /** Top-`k` approximate nearest neighbors of `q`, sorted by ascending
-    * distance (ties by external id), from a beam of width `max(ef, k)`; an
-    * `ef` below 1 is rejected. Safe to call from several threads at once
+  /** Top-`k` approximate nearest neighbors of `q` from a beam of width
+    * `max(ef, k)`: the beam's nodes cut by a [[TopK]] with no id scan, so
+    * nodes sharing an external id stay separate, drained in
+    * [[TopK.before]] order (ascending distance, ties by external id). A `k`
+    * or `ef` below 1 is rejected. Safe to call from several threads at once
     * (see the class doc).
     */
   def search(q: Array[Float], k: Int, ef: Int = params.efSearch): Array[Neighbor] = {
+    require(k >= 1, s"k must be >= 1, got $k")
     require(ef >= 1, s"ef must be >= 1, got $ef")
     if (n == 0) return Array.empty
     require(q.length == dim, s"query dim ${q.length} != index dim $dim")
@@ -352,11 +355,10 @@ final class HnswIndex private (
     var l  = topLevel
     while (l > 0) { searchLayer(qp, 0, ep, 1, l, s); ep = s.outIds(0); l -= 1 }
     val found = searchLayer(qp, 0, ep, beam, 0, s)
-    val out = new Array[Neighbor](found)
+    val top = new TopK(math.min(k, found))
     var i = 0
-    while (i < found) { out(i) = Neighbor(ids(s.outIds(i)), s.outDists(i)); i += 1 }
-    java.util.Arrays.sort(out, HnswIndex.ByDistThenId)
-    out.take(k)
+    while (i < found) { top.offer(s.outDists(i), ids(s.outIds(i)), scan = false); i += 1 }
+    top.drain()
   }
 
   /** Serialize to a binary stream (index + vectors + metadata), the unit the
@@ -428,11 +430,6 @@ object HnswIndex {
     * and no list on layer `l` is longer than `maxDegreePerLayer(l)`.
     */
   final case class Stats(nodesPerLayer: IndexedSeq[Int], maxDegreePerLayer: IndexedSeq[Int])
-
-  private val ByDistThenId: java.util.Comparator[Neighbor] = (a: Neighbor, b: Neighbor) => {
-    val c = java.lang.Double.compare(a.dist, b.dist)
-    if (c != 0) c else java.lang.Long.compare(a.id, b.id)
-  }
 
   /** Binary min-heap of (node, key) pairs over parallel primitive arrays. */
   private final class NodeHeap {

@@ -1,8 +1,8 @@
 package repro.core
 
 /** The `k` nearest of the (distance, id) pairs offered to it: a bounded
-  * max-heap over primitive arrays, the one top-k cut of the brute-force
-  * kernel (§5.4) and of both levels of the query merge (§5.3).
+  * max-heap over primitive arrays, the one top-k cut of HNSW search, of the
+  * brute-force kernel (§5.4) and of both levels of the query merge (§5.3).
   *
   * One order, [[TopK.before]], decides which offer enters, which copy of an
   * id is kept and the heap's shape. An offer with `scan` first looks for
@@ -19,10 +19,14 @@ private[repro] final class TopK(k: Int) {
   private var size = 0
 
   /** Offers id `x` at distance `d`; `scan` says whether the heap may
-    * already hold `x`.
+    * already hold `x`. Returns whether the offer passed the entry test (room
+    * left, or before the farthest held entry), also when a nearer held copy
+    * of `x` then keeps its place. The held entries only get nearer, so an
+    * offer that fails it fails for every later offer not before it: a caller
+    * offering a run in [[TopK.before]] order may stop at its first failure.
     */
-  def offer(d: Double, x: Long, scan: Boolean): Unit =
-    if (size < k || TopK.before(d, x, dist(0), id(0))) {
+  def offer(d: Double, x: Long, scan: Boolean): Boolean =
+    (size < k || TopK.before(d, x, dist(0), id(0))) && {
       var p = -1
       if (scan) {
         var i = 0
@@ -34,6 +38,7 @@ private[repro] final class TopK(k: Int) {
         size += 1
         siftUp(size - 1, d, x)
       } else siftDown(0, d, x)
+      true
     }
 
   /** Puts (d, x) in the hole at `h`, moving later parents down. */

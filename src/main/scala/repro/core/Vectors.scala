@@ -63,10 +63,14 @@ object Vectors {
       ab += x * y; aa += x * x; bb += y * y
       i += 1
     }
-    val na = math.sqrt(aa); val nb = math.sqrt(bb)
-    if (na == 0.0 || nb == 0.0) 1.0
-    else 1.0 - ab / (na * nb)
+    cosine(ab, math.sqrt(aa), math.sqrt(bb))
   }
+
+  /** Cosine distance from a·b and the two norms: 1 − ab / (na·nb), and 1
+    * when either norm is 0 (a zero vector is at distance 1 from everything).
+    */
+  private[core] def cosine(ab: Double, na: Double, nb: Double): Double =
+    if (na == 0.0 || nb == 0.0) 1.0 else 1.0 - ab / (na * nb)
 
   /** Scale `a` to unit norm; returns a fresh array (zero vector unchanged). */
   def normalize(a: Array[Float]): Array[Float] = {

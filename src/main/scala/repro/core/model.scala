@@ -25,8 +25,12 @@ final case class Hit(qid: Long, shard: Int, segment: Int, id: Long, dist: Double
 
 /** One partial top-k list produced inside an executor: the neighbours one
   * task found for query `qid` in one (shard, segment) group or one data
-  * partition, `ids(i)` at distance `dists(i)`. The merge reads a list as the
-  * hits (qid, shard, id, dist) it holds.
+  * partition, `ids(i)` at distance `dists(i)`, in [[TopK.before]] order
+  * (ascending distance, ties by ascending id). Every producer keeps that
+  * order: `HnswIndex.search` and `BruteForce.topK` drain a [[TopK]], and
+  * `Querier.mergeHits` makes one-hit lists. The merge reads a list as the
+  * hits (qid, shard, id, dist) it holds, a sorted run it stops offering at
+  * its first rejected hit.
   */
 final case class HitList(qid: Long, shard: Int, ids: Array[Long], dists: Array[Double])
 

@@ -91,15 +91,18 @@ object Querier {
     * shard results → global top `topK`. Lists are grouped by qid: one
     * shuffle, or none when they already sit in one partition, and a sort on
     * qid. Each query runs two levels of [[TopK]], each sized to the lesser
-    * of its cut and the hits offered to it: per shard, one offered every hit
-    * of that shard's lists, which keeps an id once, at its least distance
-    * (an id that occurs in several input rows, such as brute-force
-    * partitions or an HNSW group with duplicate ids, can arrive more than
-    * once); then one offered every shard's survivors, which does not
-    * deduplicate ids across shards. Distances order as in Spark SQL (-0.0
-    * equals 0.0, NaN after every number), ties by ascending id.
+    * of its cut and the hits offered to it: per shard, one offered that
+    * shard's lists, which keeps an id once, at its least distance (an id
+    * that occurs in several input rows, such as brute-force partitions or an
+    * HNSW group with duplicate ids, can arrive more than once); then one
+    * offered every shard's survivors, which does not deduplicate ids across
+    * shards. Every list and every shard's survivors are a run in
+    * [[TopK.before]] order, so each level stops offering a run at its first
+    * rejected hit. Distances order as in Spark SQL (-0.0 equals 0.0, NaN
+    * after every number), ties by ascending id.
     *
-    * @param lists DataFrame of [[HitList]] rows (qid, shard, ids, dists)
+    * @param lists DataFrame of [[HitList]] rows (qid, shard, ids, dists),
+    *              each list in [[TopK.before]] order
     * @return DataFrame (qid, id, dist, rank)
     * @throws IllegalArgumentException if kShard or topK is below 1
     */
@@ -111,13 +114,13 @@ object Querier {
       .flatMapGroups { (qid, qLists) =>
         val survivors = qLists.toArray.groupBy(_.shard).values.toArray.map { shardLists =>
           val shardTop = new TopK(math.min(kShard, shardLists.map(_.ids.length).sum))
-          shardLists.foreach { l =>
-            l.ids.indices.foreach(i => shardTop.offer(l.dists(i), l.ids(i), scan = true))
+          shardLists.foreach { l => // a sorted run: forall stops at its first rejected hit
+            l.ids.indices.forall(i => shardTop.offer(l.dists(i), l.ids(i), scan = true))
           }
           shardTop.drain()
         }
         val top = new TopK(math.min(topK, survivors.map(_.length).sum))
-        survivors.foreach(_.foreach(n => top.offer(n.dist, n.id, scan = false)))
+        survivors.foreach(_.forall(n => top.offer(n.dist, n.id, scan = false)))
         top.drain().iterator.zipWithIndex.map { case (n, r) => RankedHit(qid, n.id, n.dist, r + 1) }
       }
       .toDF()

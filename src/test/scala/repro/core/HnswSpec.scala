@@ -268,5 +268,7 @@ class HnswSpec extends AnyFunSuite {
   test("search rejects an explicit ef below 1") {
     val idx = build(clustered(100, 8, 3, 16L), 8, params)
     intercept[IllegalArgumentException](idx.search(Array.fill(8)(0f), 5, ef = 0))
+    val e = intercept[IllegalArgumentException](idx.search(Array.fill(8)(0f), 0))
+    assert(e.getMessage.contains("k must be >= 1, got 0"))
   }
 }

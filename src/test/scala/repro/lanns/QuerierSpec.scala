@@ -6,7 +6,7 @@ import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import org.apache.spark.sql.types.{DoubleType, IntegerType, LongType}
 import repro.{Oracle, SparkSpec, VectorData}
-import repro.core.{Distance, Hit, HitList, HnswParams, QueryRow}
+import repro.core.{Distance, Hit, HitList, HnswParams, QueryRow, TopK}
 import repro.eval.Recall
 import repro.segment.{RandomSegmenter, SegmenterLearner}
 
@@ -94,12 +94,14 @@ class QuerierSpec extends SparkSpec {
     for (seed <- Seq(1L, 2L, 3L); kShard <- Seq(1, 3, 6)) {
       val hits = randomHits(seed)
       val rnd = new scala.util.Random(seed)
-      // each (qid, shard)'s hits, shuffled and cut into lists of 0 to 7 hits
+      // each (qid, shard)'s hits, shuffled and cut into lists of 0 to 7 hits,
+      // each list sorted by (dist, id) as every HitList is
       val lists = hits.as[Hit].collect().groupBy(h => (h.qid, h.shard)).toSeq.flatMap {
         case ((qid, shard), hs) =>
           Iterator.unfold(rnd.shuffle(hs.toSeq)) { rest =>
             Option.when(rest.nonEmpty) { val (l, more) = rest.splitAt(rnd.nextInt(8)); (l, more) }
-          }.map(l => HitList(qid, shard, l.map(_.id).toArray, l.map(_.dist).toArray))
+          }.map(_.sortWith((a, b) => TopK.before(a.dist, a.id, b.dist, b.id)))
+            .map(l => HitList(qid, shard, l.map(_.id).toArray, l.map(_.dist).toArray))
       }
       assert(rows(Querier.mergeLists(rnd.shuffle(lists).toDF(), kShard, 6)) ===
         rows(Querier.mergeHits(hits, kShard, 6)), s"seed $seed kShard $kShard")
