@@ -66,6 +66,6 @@ object SparkBruteForce {
       }
 
     Dataflow.checkpointed(partials.toDF(), checkpointDir, "bf_partials")(
-      Querier.mergeLists(_, k, k))
+      Querier.mergeLists(_, k, k, numPartitions))
   }
 }

@@ -2,6 +2,7 @@ package repro.lanns
 
 import java.nio.file.Files
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.CoalesceExec
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import org.apache.spark.sql.types.{DoubleType, IntegerType, LongType}
@@ -103,7 +104,7 @@ class QuerierSpec extends SparkSpec {
           }.map(_.sortWith((a, b) => TopK.before(a.dist, a.id, b.dist, b.id)))
             .map(l => HitList(qid, shard, l.map(_.id).toArray, l.map(_.dist).toArray))
       }
-      assert(rows(Querier.mergeLists(rnd.shuffle(lists).toDF(), kShard, 6)) ===
+      assert(rows(Querier.mergeLists(rnd.shuffle(lists).toDF(), kShard, 6, 1)) ===
         rows(Querier.mergeHits(hits, kShard, 6)), s"seed $seed kShard $kShard")
     }
   }
@@ -115,26 +116,29 @@ class QuerierSpec extends SparkSpec {
     def message(merge: => DataFrame): String = intercept[IllegalArgumentException](merge).getMessage
     assert(message(Querier.mergeHits(hits, kShard = 0, topK = 3)).contains("kShard must be >= 1, got 0"))
     assert(message(Querier.mergeHits(hits, kShard = 2, topK = -2)).contains("topK must be >= 1, got -2"))
-    assert(message(Querier.mergeLists(lists, kShard = -1, topK = 3)).contains("kShard must be >= 1, got -1"))
-    assert(message(Querier.mergeLists(lists, kShard = 2, topK = 0)).contains("topK must be >= 1, got 0"))
+    assert(message(Querier.mergeLists(lists, kShard = -1, topK = 3, numPartitions = 1))
+      .contains("kShard must be >= 1, got -1"))
+    assert(message(Querier.mergeLists(lists, kShard = 2, topK = 0, numPartitions = 1))
+      .contains("topK must be >= 1, got 0"))
   }
 
   test("the merge orders distances as Spark SQL does: -0.0 equals 0.0, NaN after every number") {
     import spark.implicits._
     val nan = Double.NaN
+    // each list in TopK.before order, as every HitList is
     val lists = Seq(
-      HitList(1L, 0, Array(7L, 5L, 3L), Array(-0.0, 1.0, 0.0)), // a ±0.0 tie goes to the smaller id
-      HitList(2L, 0, Array(4L, 6L), Array(nan, 1.0)), // NaN after every number
+      HitList(1L, 0, Array(3L, 7L, 5L), Array(0.0, -0.0, 1.0)), // a ±0.0 tie goes to the smaller id
+      HitList(2L, 0, Array(6L, 4L), Array(1.0, nan)), // NaN after every number
       HitList(2L, 1, Array(2L), Array(0.0)),
       HitList(3L, 0, Array(8L), Array(nan)), // the number copy of id 8 is nearer
-      HitList(3L, 0, Array(8L, 9L), Array(1.0, 0.0)),
-      HitList(4L, 0, Array(8L, 9L), Array(1.0, 0.0)),
+      HitList(3L, 0, Array(9L, 8L), Array(0.0, 1.0)),
+      HitList(4L, 0, Array(9L, 8L), Array(0.0, 1.0)),
       HitList(4L, 0, Array(8L), Array(nan)),
       HitList(5L, 0, Array(1L, 2L), Array(nan, nan)), // a full shard of NaNs admits a number
       HitList(5L, 0, Array(3L), Array(1.0)),
     ).toDF()
     def bits(d: Double) = java.lang.Double.doubleToRawLongBits(d)
-    val rows = Querier.mergeLists(lists, kShard = 2, topK = 3).collect()
+    val rows = Querier.mergeLists(lists, kShard = 2, topK = 3, numPartitions = 1).collect()
       .map(r => (r.getLong(0), r.getLong(1), bits(r.getDouble(2)), r.getInt(3))).toSeq.sorted
     assert(rows === Seq(
       (1L, 3L, bits(0.0), 1), (1L, 7L, bits(-0.0), 2),
@@ -152,7 +156,7 @@ class QuerierSpec extends SparkSpec {
       HitList(1L, 0, Array(5L), Array(0.5)),
       HitList(1L, 1, Array(5L, 7L), Array(2.0, 4.0)),
     ).toDF()
-    val rows = Querier.mergeLists(lists, kShard = 2, topK = 3).orderBy("rank").collect()
+    val rows = Querier.mergeLists(lists, kShard = 2, topK = 3, numPartitions = 1).orderBy("rank").collect()
       .map(r => (r.getLong(1), r.getDouble(2), r.getInt(3))).toSeq
     assert(rows === Seq((5L, 0.5, 1), (5L, 2.0, 2), (6L, 3.0, 3)))
   }
@@ -186,15 +190,23 @@ class QuerierSpec extends SparkSpec {
       params, tmpDir("q-plan1"), 1)
     val oneSlot = Querier.search(queries, one, 5, 60, None, 1)
     assert(shuffles(oneSlot) === 0, oneSlot.queryExecution.executedPlan.treeString)
+    // one task, which reads the queries inside the plan: nothing is collected to the driver
+    val coalesced = new AdaptiveSparkPlanHelper {}
+      .collect(oneSlot.queryExecution.executedPlan) { case c: CoalesceExec => c.numPartitions }
+    assert(coalesced === Seq(1), oneSlot.queryExecution.executedPlan.treeString)
+    assert(oneSlot.rdd.getNumPartitions === 1)
     val eight = Indexer.build(data, 8, 2, new RandomSegmenter(4), Distance.Euclidean,
       params, tmpDir("q-plan8"), 3)
     val threeSlots = Querier.search(queries, eight, 5, 60, None, 3)
     assert(shuffles(threeSlots) === 1, threeSlots.queryExecution.executedPlan.treeString)
+    assert(threeSlots.rdd.getNumPartitions === 3) // the merge is E wide, whatever the session's width
 
-    val empty = Querier.search(spark.emptyDataset[QueryRow], eight, 5, 60, None, 3)
-    assert(empty.collect().isEmpty)
-    assert(empty.schema.map(f => f.name -> f.dataType) ===
-      Seq("qid" -> LongType, "id" -> LongType, "dist" -> DoubleType, "rank" -> IntegerType))
+    for ((meta, e) <- Seq(one -> 1, eight -> 3)) {
+      val empty = Querier.search(spark.emptyDataset[QueryRow], meta, 5, 60, None, e)
+      assert(empty.collect().isEmpty)
+      assert(empty.schema.map(f => f.name -> f.dataType) ===
+        Seq("qid" -> LongType, "id" -> LongType, "dist" -> DoubleType, "rank" -> IntegerType))
+    }
   }
 
   private lazy val smallIndex = {
@@ -203,15 +215,19 @@ class QuerierSpec extends SparkSpec {
       params, tmpDir("q-valid"), 2)
   }
 
-  /** Runs a search over `vecs` (the query with qid 4242 is the bad one) and
-    * asserts that it fails with an error naming qid 4242.
+  /** Runs a search over `vecs` (the query with qid 4242 is the bad one) at
+    * one slot, which checks the queries in its task, and at two, which check
+    * them on the driver, and asserts that each fails with an error naming
+    * qid 4242.
     */
   private def assertRejects(vecs: Seq[(Long, Array[Float])]): Unit = {
     import spark.implicits._
     val queries = vecs.map { case (qid, v) => QueryRow(qid, v) }.toDS()
-    val e = intercept[Exception](Querier.search(queries, smallIndex, 5, 60, None, 2).collect())
-    val chain = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
-    assert(chain.exists(t => Option(t.getMessage).exists(_.contains("qid 4242"))), e)
+    for (e <- Seq(1, 2)) {
+      val err = intercept[Exception](Querier.search(queries, smallIndex, 5, 60, None, e).collect())
+      val chain = Iterator.iterate[Throwable](err)(_.getCause).takeWhile(_ != null)
+      assert(chain.exists(t => Option(t.getMessage).exists(_.contains("qid 4242"))), s"E = $e: $err")
+    }
   }
 
   private val good = Array.fill(8)(0.5f)
@@ -277,9 +293,13 @@ class QuerierSpec extends SparkSpec {
     val queries = VectorData.clusteredQueries(spark, 15, 8, 6, seed = 5L)
     val meta = Indexer.build(data, 8, 2, new RandomSegmenter(2), Distance.Euclidean,
       params, tmpDir("q-slots"), 4)
-    def rows(e: Int) = Querier.search(queries, meta, 8, 60, None, e)
-      .orderBy("qid", "rank").collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
-    assert(rows(1) === rows(8))
+    for (confidence <- Seq(None, Some(0.95))) {
+      def rows(e: Int) = Querier.search(queries, meta, 8, 60, confidence, e)
+        .orderBy("qid", "rank").collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+      val one = rows(1)
+      assert(rows(3) === one, s"confidence $confidence")
+      assert(rows(8) === one, s"confidence $confidence")
+    }
   }
 
   test("checkpointing gives identical results and cleans the temp dir") {
@@ -287,13 +307,15 @@ class QuerierSpec extends SparkSpec {
     val queries = VectorData.clusteredQueries(spark, 10, 8, 5, seed = 6L)
     val meta = Indexer.build(data, 8, 1, new RandomSegmenter(2), Distance.Euclidean,
       params, tmpDir("q-ck"), 4)
-    val ckpt = tmpDir("q-ck-tmp") + "/work"
-    val plain = Querier.search(queries, meta, 5, 60, None, 4)
-      .orderBy("qid", "rank").collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
-    val chk = Querier.search(queries, meta, 5, 60, None, 4, Some(ckpt))
-      .orderBy("qid", "rank").collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
-    assert(chk === plain)
-    assert(!new java.io.File(ckpt).exists(), "checkpoint dir not cleaned")
+    for (e <- Seq(1, 4)) {
+      val ckpt = tmpDir("q-ck-tmp") + "/work"
+      val plain = Querier.search(queries, meta, 5, 60, None, e)
+        .orderBy("qid", "rank").collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+      val chk = Querier.search(queries, meta, 5, 60, None, e, Some(ckpt))
+        .orderBy("qid", "rank").collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+      assert(chk === plain, s"E = $e")
+      assert(!new java.io.File(ckpt).exists(), s"E = $e: checkpoint dir not cleaned")
+    }
   }
 
   test("checkpointing into a shared directory removes only what it wrote") {
