@@ -63,7 +63,9 @@ object Querier {
 
     val kShard = confidence.map(PerShardTopK(topK, meta.numShards, _)).getOrElse(topK)
 
-    // `meta`, segmenter included, travels with each task.
+    // `meta`, segmenter included, travels with each task. One slot holds
+    // every group, so its task reads the queries itself and cuts in place,
+    // emitting in qid order as the merge does.
     if (numExecutors == 1 && checkpointDir.isEmpty)
       queries.coalesce(1).mapPartitions { it =>
         val qs = it.toArray
@@ -108,7 +110,7 @@ object Querier {
     */
   def mergeHits(hits: DataFrame, kShard: Int, topK: Int): DataFrame =
     mergeLists(hits.select(col("qid"), col("shard"),
-      array(col("id")).as("ids"), array(col("dist")).as("dists")), kShard, topK, 1)
+      array(col("id")).as("ids"), array(col("dist")).as("dists")), kShard, topK, numPartitions = 1)
 
   /** Two-level merge (§5.3): segment hits → per-shard top `kShard`, then
     * shard results → global top `topK`. Lists are grouped by qid, with a

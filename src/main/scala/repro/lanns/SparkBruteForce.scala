@@ -10,17 +10,17 @@ import scala.collection.mutable
   *
   * The dataset is split across `numPartitions` tasks; the (reasonably
   * small) query set is checked and broadcast whole into every task, as the
-  * querier's is. A task packs its
-  * rows into flat arrays and makes one call of the blocked kernel
-  * [[BruteForce.topK]] for all queries, which keeps the k nearest distinct
-  * ids of its partition (an id stored twice takes one slot, at its nearest
-  * copy); it emits one [[HitList]] per query. Partial results can be written
-  * to the HDFS substitute and reloaded (as in Figure 8) before the final
-  * per-query merge, the querier's list merge with every list on shard 0 and
-  * both cuts at k: its shard level makes the same k-nearest-distinct-ids
-  * cut as the kernel, with the same [[repro.core.TopK]], over all the
-  * tasks' lists, so like the querier it returns an id once per query, at
-  * its nearest copy.
+  * querier's is with more than one slot. A task packs its rows into flat
+  * arrays and makes one call of the blocked kernel [[BruteForce.topK]] for
+  * all queries, which keeps the k nearest distinct ids of its partition (an
+  * id stored twice takes one slot, at its nearest copy); it emits one
+  * [[HitList]] per query. Partial results can be written to the HDFS
+  * substitute and reloaded (as in Figure 8) before the final per-query
+  * merge, the querier's list merge over `numPartitions` tasks with every
+  * list on shard 0 and both cuts at k: its shard level makes the same
+  * k-nearest-distinct-ids cut as the kernel, with the same
+  * [[repro.core.TopK]], over all the tasks' lists, so like the querier it
+  * returns an id once per query, at its nearest copy.
   */
 object SparkBruteForce {
 
